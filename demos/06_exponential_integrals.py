@@ -3,8 +3,9 @@
 
 Integrating e^{(s det + 2rho~ - 2rho)(H)} gamma'(H, X) over the standard
 part of a_Q produces a polynomial-exponential in X whose purely polynomial
-term is constant away from s = -1, 1.  The corank-one closed form and an
-adaptive quadrature evaluate the same integral by independent routes, and
+term is constant away from s = -1, 1.  The corank-one closed form and a
+Gauss-Legendre quadrature, split at the vertices of the wall arrangement,
+evaluate the same integral by independent routes, and
 the quadrature adjudicates the normalization of the constant term: it
 carries the inverse Jacobian of the standard-part isomorphism, with
 positive sign.

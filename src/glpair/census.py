@@ -139,6 +139,32 @@ def group_elements(n, p):
             yield g
 
 
+def _is_prime(p):
+    """Miller-Rabin with the first twelve prime bases: exact for every p
+    below 3.3 * 10^24, a strong probable-prime test beyond."""
+    if p < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p in bases:
+        return True
+    if any(p % b == 0 for b in bases):
+        return False
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _primitive_root(p):
     for g in range(2, p):
         x, order = g, 1
@@ -331,6 +357,10 @@ def verify_separation(n, p, sample=None, seed=0):
     sampling mode with a declared sample count.  Sampling checks `sample`
     conjugate pairs for invariance and every fingerprint collision in the
     pool through a verified conjugator certificate."""
+    if n < 1:
+        raise ValueError("n must be at least 1, got %d" % n)
+    if not _is_prime(p):
+        raise ValueError("p must be prime, got %d" % p)
     report = CensusReport(p=p, n=n, seed=seed)
     m = (n + 1) ** 2
     if sample is None and p ** m > SIZE_GUARD:

@@ -74,15 +74,17 @@ def gamma_prime(Q, H, X):
 
 def _gamma_walls(Q, X):
     """Affine walls (vector, offset) with wall = {H : <vector,H> = offset}
-    across which gamma_prime(Q, ., X) can jump."""
+    across which gamma_prime(Q, ., X) can jump, each distinct wall once in
+    first-seen order.  The terms R >= Q share their walls: a corank-c
+    parabolic lists c * 2^c of them, of which 2c are distinct."""
     G = full_group(Q.n)
-    walls = []
+    walls = {}
     for R in parabolics_above(Q):
         for a in simple_roots(Q, R):
-            walls.append((a, Fraction(0)))
+            walls.setdefault((tuple(a), Fraction(0)))
         for w in coweights(R, G):
-            walls.append((w, dot(w, X)))
-    return walls
+            walls.setdefault((tuple(w), dot(w, X)))
+    return list(walls)
 
 
 def support_box(Q, X, basis):

@@ -5,8 +5,9 @@ A polynomial-exponential on Q^d is a finite sum of e^{lambda(v)} P_lambda(v)
 with rational exponent covectors lambda and rational-coefficient
 polynomials P_lambda; the lambda = 0 polynomial is its purely polynomial
 part.  The exponential integral is evaluated two independent ways: a
-closed form on one-dimensional quotients, and adaptive quadrature over the
-standard coordinates for corank up to three.
+closed form on one-dimensional quotients, and Gauss-Legendre quadrature
+over the standard coordinates for corank up to three, split at the
+vertices of the cone combination's wall arrangement.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .cones import _gamma_walls, gamma_prime, support_box
 from .parabolics import (delta_hat, det_weight, dot, full_group, gram_det,
@@ -253,9 +255,22 @@ _GL_NODES = [(-0.9894009349916499, 0.027152459411754094),
 _GL_NODES = _GL_NODES + [(-x, w) for x, w in _GL_NODES]
 
 
+# The 16-point rule integrates e^{c t} to about 1e-13 while c times the
+# panel width stays below this span; longer pieces are cut into panels.
+_PANEL_SPAN = 24.0
+
+
+def _panels(lo, hi, rate):
+    """Equal panels of [lo, hi], as (midpoint, half-width), short enough
+    for the 16-point rule on terms growing like e^{rate t}."""
+    p = max(1, math.ceil(rate * (hi - lo) / _PANEL_SPAN))
+    edges = [lo + (hi - lo) * j / p for j in range(p)] + [hi]
+    return [(0.5 * (u + v), 0.5 * (v - u)) for u, v in zip(edges, edges[1:])]
+
+
 def _line_integral(data, walls, fixed, axis_lo, axis_hi, a_last):
     """Integral over the last coordinate along the line through `fixed`:
-    split at the wall crossings, then 16-point Gauss-Legendre per piece
+    split at the wall crossings, then 16-point Gauss-Legendre per panel
     (the integrand is a constant times e^{a t} on each piece)."""
     cuts = {axis_lo, axis_hi}
     for vec, off in walls:
@@ -270,52 +285,102 @@ def _line_integral(data, walls, fixed, axis_lo, axis_hi, a_last):
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo < 1e-15:
             continue
-        mid = 0.5 * (lo + hi)
-        g = _gamma_eval_t(data, fixed + (mid,))
+        g = _gamma_eval_t(data, fixed + (0.5 * (lo + hi),))
         if g == 0:
             continue
-        half = 0.5 * (hi - lo)
-        acc = 0.0
-        for x, w in _GL_NODES:
-            t = mid + half * x
-            acc += w * math.exp(a_last * t)
-        total += g * half * acc
+        for mid, half in _panels(lo, hi, abs(a_last)):
+            acc = 0.0
+            for x, w in _GL_NODES:
+                t = mid + half * x
+                acc += w * math.exp(a_last * t)
+            total += g * half * acc
     return total
 
 
-def _adaptive_simpson(f, lo, hi, tol, depth=24):
-    flo, fmid, fhi = f(lo), f(0.5 * (lo + hi)), f(hi)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    return _simpson_rec(f, lo, hi, flo, fmid, fhi, whole, tol, depth)
+def _det(rows):
+    "Determinant of a small square float matrix, by cofactor expansion."
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * c * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, c in enumerate(rows[0]))
 
 
-def _simpson_rec(f, lo, hi, flo, fmid, fhi, whole, tol, depth):
-    mid = 0.5 * (lo + hi)
-    lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-    flm, frm = f(lm), f(rm)
-    left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-    right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_rec(f, lo, mid, flo, flm, fmid, left, tol / 2, depth - 1)
-            + _simpson_rec(f, mid, hi, fmid, frm, fhi, right, tol / 2,
-                           depth - 1))
+def _slice_cuts(walls, fixed, lo, hi):
+    """Sorted t_k-coordinates, inside (lo, hi), of the vertices of the wall
+    arrangement restricted to the slice where the leading coordinates equal
+    `fixed` (k = len(fixed)).  Between two of them the integral over the
+    remaining coordinates is smooth in t_k, and the support of the slice
+    lies between the first and the last."""
+    k = len(fixed)
+    rows = [(vec[k:], off - sum(v * x for v, x in zip(vec, fixed)))
+            for vec, off in walls]
+    cuts = set()
+    for sel in combinations(rows, len(rows[0][0])):
+        A = [vec for vec, _ in sel]
+        det = _det(A)
+        if abs(det) <= 1e-12 * math.prod(math.hypot(*vec) for vec in A):
+            continue
+        t = _det([(b,) + vec[1:] for vec, b in sel]) / det
+        if lo < t < hi:
+            cuts.add(t)
+    return sorted(cuts)
 
 
-def p_quadrature(Q, s, X, tol=1e-9):
+def _slice_rate(walls, a, k):
+    """How fast the integral over coordinates k, k+1, ... can grow in t_k.
+    Between two cuts it is an exponential-polynomial whose exponents are
+    `a` read along the lines of the slice arrangement, as each line's
+    point on the slice moves with t_k (Brion's vertex formula): the
+    largest such |exponent|, or |a_k| if larger."""
+    m = len(a) - k
+    rate = abs(a[k])
+    for sel in combinations([vec[k:] for vec, _ in walls], m - 1):
+        line = [(-1) ** j * _det([v[:j] + v[j + 1:] for v in sel])
+                for j in range(m)]
+        if abs(line[0]) > 1e-12 * math.hypot(*line):
+            rate = max(rate, abs(sum(x * y for x, y in zip(a[k:], line))
+                                 / line[0]))
+    return rate
+
+
+def _slice_integral(data, walls, box, a, rates, fixed):
+    """Integral of e^{a.t} gamma'(t) over the coordinates after `fixed`.
+    The innermost coordinate is `_line_integral`; every outer one is cut
+    at the vertex coordinates of its slice, with the 16-point
+    Gauss-Legendre rule on each panel of each piece."""
+    k = len(fixed)
+    if k == len(box) - 1:
+        return _line_integral(data, walls, fixed, box[k][0], box[k][1],
+                              a[k])
+    cuts = _slice_cuts(walls, fixed, *box[k])
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        for mid, half in _panels(lo, hi, rates[k]):
+            acc = 0.0
+            for x, w in _GL_NODES:
+                t = mid + half * x
+                acc += w * math.exp(a[k] * t) * _slice_integral(
+                    data, walls, box, a, rates, fixed + (t,))
+            total += half * acc
+    return total
+
+
+def p_quadrature(Q, s, X):
     """Numeric value of the standard-part exponential integral
     int e^{(s det + 2rho~ - 2rho)(H)} gamma'(H, X) dH over the standard
-    coordinates of Q, for corank up to three: the cone combination is
-    integrated exactly along wall-split segments in the innermost
-    coordinate and adaptively (Simpson) in the outer ones."""
+    coordinates of Q, for corank up to three.  The integrand is smooth
+    between the vertices of gamma's wall arrangement, so every coordinate
+    is cut at the vertex coordinates of its slice and each piece takes the
+    16-point Gauss-Legendre rule, on panels short enough for the growth of
+    the exponential; the innermost coordinate is integrated along its
+    wall-split segments, where the cone combination is constant."""
     basis = st_basis(Q)
     d = len(basis)
     if d == 0:
         return 1.0
     if d > 3:
         raise ValueError("quadrature limited to corank three")
-    n = Q.n
-    det = det_weight(n)
+    det = det_weight(Q.n)
     r2t = two_rho_ambient(Q)
     r2g = two_rho_intersected(Q)
     sf = float(s)
@@ -324,28 +389,10 @@ def p_quadrature(Q, s, X, tol=1e-9):
     measure = math.sqrt(float(gram_det(list(basis))))
     box = [(float(lo), float(hi)) for lo, hi in support_box(Q, X, basis)]
     data = _gamma_in_t(Q, X, basis)
-    walls = []
-    for w, off in _gamma_walls(Q, X):
-        walls.append((tuple(float(dot(w, b)) for b in basis), float(off)))
-
-    if d == 1:
-        val = _line_integral(data, walls, (), box[0][0], box[0][1], a[0])
-        return measure * val
-
-    def level(fixed, dim_idx):
-        lo, hi = box[dim_idx]
-        if dim_idx == d - 1:
-            raise AssertionError
-        if dim_idx == d - 2:
-            def f(t):
-                return math.exp(a[dim_idx] * t) * _line_integral(
-                    data, walls, fixed + (t,), box[-1][0], box[-1][1], a[-1])
-            return _adaptive_simpson(f, lo, hi, tol)
-        def g(t):
-            return math.exp(a[dim_idx] * t) * level(fixed + (t,), dim_idx + 1)
-        return _adaptive_simpson(g, lo, hi, tol)
-
-    return measure * level((), 0)
+    walls = [(tuple(float(dot(w, b)) for b in basis), float(off))
+             for w, off in _gamma_walls(Q, X)]
+    rates = [_slice_rate(walls, a, k) for k in range(d - 1)]
+    return measure * _slice_integral(data, walls, box, a, rates, ())
 
 
 def shanks_constant(p1, p2, p3):
@@ -362,9 +409,11 @@ def measure_constant_term(Q, s, direction, tol=1e-9):
     evaluating at t*direction for t = 1, 2, 3 (direction chosen with every
     nonzero exponent strictly negative) and extrapolating; report which
     closed-form candidate (with or without the Jacobian factor) the
-    measurement selects and the winning sign."""
+    measurement selects and the winning sign.  `tol` is accepted and
+    unused: the vertex-split quadrature is a fixed rule, not an adaptive
+    one."""
     vals = [p_quadrature(Q, s, tuple(Fraction(t) * Fraction(x)
-                                     for x in direction), tol)
+                                     for x in direction))
             for t in (1, 2, 3)]
     est = shanks_constant(*vals)
     cands = constant_term_candidates(Q, s)

@@ -1,6 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from glpair import polyexp
 from glpair.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -82,6 +92,38 @@ def test_pexp_command(capsys):
     data = json.loads(out)
     assert data["corank"] == 1
     assert data["quadrature_check"]["rel_error"] < 1e-6
+
+
+def test_pexp_answers_where_the_constant_term_has_a_pole(capsys):
+    "theta-hat(rho_{Q,s})(s) = 0 at s = -1 here; the integral is finite."
+    code, out, _ = run(capsys, "pexp", "--n", "2", "--parabolic", "7",
+                       "--s=-1", "--X=1,2,3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["corank"] == 2 and math.isfinite(data["value"])
+    assert data["constant_term_candidates"] is None
+
+
+def test_pexp_fails_when_its_quadrature_check_fails(capsys, monkeypatch):
+    exact = polyexp.p_quadrature
+    monkeypatch.setattr(polyexp, "p_quadrature",
+                        lambda Q, s, X: exact(Q, s, X) * (1 + 1e-3))
+    code, out, _ = run(capsys, "pexp", "--n", "1", "--parabolic", "1",
+                       "--s", "1/2", "--X", "2,-1")
+    assert code == 1
+    assert json.loads(out)["quadrature_check"]["rel_error"] > 1e-6
+
+
+@pytest.mark.parametrize("n, p", [(1, 4), (0, 3), (1, 1), (2, 9)])
+def test_census_rejects_bad_n_and_p_in_one_line(n, p):
+    "These hung (composite p) or raised a traceback (n = 0)."
+    proc = subprocess.run(
+        [sys.executable, "-m", "glpair.cli", "census", "--n", str(n),
+         "--p", str(p)], capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_pexp_bad_input(capsys):

@@ -6,9 +6,10 @@ from glpair.cones import (gamma_prime, sigma, support_box, tau, tau_bar,
                           tau_hat, verify_basic_identity,
                           verify_gamma_recurrence, verify_gamma_support,
                           verify_langlands, verify_sigma_decomposition,
-                          _centered_block_basis)
-from glpair.parabolics import (RelStdParabolic, delta_hat, dot,
-                               enumerate_rel_std, full_group)
+                          _centered_block_basis, _gamma_walls)
+from glpair.parabolics import (RelStdParabolic, coweights, delta_hat, dot,
+                               enumerate_rel_std, full_group,
+                               parabolics_above, simple_roots)
 
 
 def test_indicator_boundaries():
@@ -115,3 +116,19 @@ def test_support_box_is_finite():
         assert len(box) == len(basis)
         for lo, hi in box:
             assert lo < hi
+
+
+def test_gamma_walls_are_the_distinct_term_walls():
+    """Each term R >= Q contributes its roots of Q in R and its coweights
+    shifted by X; the terms share them, and 2 * corank remain at a generic
+    X (c root walls through 0, c coweight walls through X)."""
+    for n, X in ((2, (F(3), F(-2), F(1))), (3, (F(3), F(-2), F(1), F(7)))):
+        G = full_group(n)
+        for Q in enumerate_rel_std(n):
+            walls = _gamma_walls(Q, X)
+            listed = [(tuple(a), F(0)) for R in parabolics_above(Q)
+                      for a in simple_roots(Q, R)]
+            listed += [(tuple(w), dot(w, X)) for R in parabolics_above(Q)
+                       for w in coweights(R, G)]
+            assert len(set(walls)) == len(walls) == 2 * Q.corank
+            assert set(walls) == set(listed)

@@ -5,8 +5,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glpair.parabolics import (delta_hat, enumerate_rel_std, full_group,
-                               parabolics_above, rho_Q_s)
+from glpair import polyexp
+from glpair.cones import _gamma_walls, gamma_prime, support_box
+from glpair.parabolics import (delta_hat, det_weight, dot, enumerate_rel_std,
+                               full_group, gram_det, parabolics_above,
+                               rho_Q_s, st_basis, two_rho_ambient,
+                               two_rho_intersected)
 from glpair.polyexp import (PolyExp, SqrtVal, constant_term_candidates,
                             measure_constant_term, p_quadrature, p_rank1,
                             shanks_constant)
@@ -217,3 +221,96 @@ def test_rank1_integral_is_a_polyexp_in_X():
             assert value == pytest.approx(p_rank1(Q, s, X).value(), abs=1e-10)
             assert value == pytest.approx(p_quadrature(Q, s, X), rel=1e-6,
                                           abs=1e-9)
+
+
+# -- the vertex-split quadrature ----------------------------------------------
+
+def _coweight_direction(Q):
+    "-4 times the sum of the coweight covectors of Q."
+    _, covs = delta_hat(Q)
+    return tuple(-4 * sum(col) for col in zip(*covs))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_every_corank2_constant_term_selects_the_jacobian(n):
+    """Criterion 6 for every corank-2 (Q, s) at n = 2, 3, including the four
+    combinations where the adaptive Simpson rule returned false zeros."""
+    combos = 0
+    for Q in enumerate_rel_std(n):
+        if Q.corank != 2:
+            continue
+        for s in (F(0), F(1, 2), F(-1, 3)):
+            rep = measure_constant_term(Q, s, _coweight_direction(Q), tol=1e-9)
+            assert rep["selected"] == "with_jacobian", (Q, s, rep)
+            assert rep["sign"] == 1
+            assert rep["relative_error"] < 1e-4
+            combos += 1
+    assert combos == {2: 9, 3: 27}[n]
+
+
+def _composite_rule(panels):
+    "The 16-point rule on `panels` equal parts of [-1, 1], as one rule."
+    return [(-1 + (2 * j + 1 + x) / panels, w / panels)
+            for j in range(panels) for x, w in polyexp._GL_NODES]
+
+
+def test_corank3_value_is_stable_under_halving(monkeypatch):
+    Q = enumerate_rel_std(3)[16]
+    X = (F(0), F(-2), F(3), F(-1))
+    value = p_quadrature(Q, F(-1, 3), X)
+    assert value == pytest.approx(1.734046227764, rel=1e-9)
+    monkeypatch.setattr(polyexp, "_GL_NODES", _composite_rule(2))
+    assert p_quadrature(Q, F(-1, 3), X) == pytest.approx(value, rel=1e-12)
+
+
+def _midpoint_reference(Q, s, X, cells):
+    """Outer midpoint rule with about `cells` cells over the support box,
+    and an exact inner line integral: gamma' (exact, from cones) is
+    constant between consecutive wall crossings, and e^{a t} integrates in
+    closed form.  The outer integrand jumps only across walls parallel to
+    the inner axis, so each of those walls is a cell boundary; elsewhere
+    it is continuous with kinks, and the rule converges at second order."""
+    basis = st_basis(Q)
+    a = [float(s * dot(det_weight(Q.n), b) + dot(two_rho_ambient(Q), b)
+               - dot(two_rho_intersected(Q), b)) for b in basis]
+    (lo0, hi0), (lo1, hi1) = support_box(Q, X, basis)
+    walls = [(dot(w, basis[0]), dot(w, basis[1]), off)
+             for w, off in _gamma_walls(Q, X)]
+    breaks = sorted({lo0, hi0} | {off / c0 for c0, c1, off in walls
+                                  if c1 == 0 and c0 != 0})
+    total = 0.0
+    for lo, hi in zip(breaks, breaks[1:]):
+        parts = max(1, round(cells * (hi - lo) / (hi0 - lo0)))
+        h = (hi - lo) / parts
+        for i in range(parts):
+            t0 = lo + (i + F(1, 2)) * h
+            cuts = sorted({lo1, hi1} | {
+                t for c0, c1, off in walls if c1 != 0
+                for t in [(off - c0 * t0) / c1] if lo1 < t < hi1})
+            inner = 0.0
+            for u, v in zip(cuts, cuts[1:]):
+                H = tuple(t0 * x + (u + v) / 2 * y for x, y in zip(*basis))
+                g = gamma_prime(Q, H, X)
+                if g and a[1]:
+                    inner += g * (math.exp(a[1] * v)
+                                  - math.exp(a[1] * u)) / a[1]
+                elif g:
+                    inner += g * float(v - u)
+            total += math.exp(a[0] * float(t0)) * inner * float(h)
+    return math.sqrt(float(gram_det(list(basis)))) * total
+
+
+def test_former_false_zero_matches_a_midpoint_grid():
+    """The adaptive Simpson rule gave 0.0 here: its first five points all
+    missed the thin support.  The reference rule converges at second
+    order, so its 400-cell value is off by about a third of its distance
+    to the 200-cell value; the quadrature must land within that distance
+    of it."""
+    Q = enumerate_rel_std(3)[11]
+    s, X = F(-1, 3), (F(1), F(0), F(1), F(4))
+    value = p_quadrature(Q, s, X)
+    assert value == pytest.approx(0.76336, abs=1e-5)
+    coarse = _midpoint_reference(Q, s, X, 200)
+    fine = _midpoint_reference(Q, s, X, 400)
+    assert abs(value - fine) <= abs(fine - coarse)
+    assert abs(fine - coarse) < 1e-3 * abs(fine)
