@@ -9,8 +9,11 @@ Elements are flat tuples of residues of length (n+1)^2, row-major.
 Orbits are connected components of the action graph generated by a small
 generating set of GL(n, F_p) (transvections plus one primitive diagonal);
 this gives the same partition as the full group sweep at a fraction of the
-cost.  The element space can be partitioned across workers and the
-per-fingerprint tallies merged afterwards; the merge is a plain sum.
+cost.  The exhaustive census makes two sweeps of the element space: one
+joins each element to its generator images in a union-find, the next
+fingerprints each element once and tallies it under its orbit's root.
+Sampled mode conjugates each pooled element by a matrix drawn uniformly
+from GL(n, F_p) by rejection: a random matrix is kept when it inverts.
 """
 
 from __future__ import annotations
@@ -50,11 +53,6 @@ def _mat_mul(A, B, p):
 def _mat_vec(A, v, p):
     return tuple(sum(A[i][t] * v[t] for t in range(len(v))) % p
                  for i in range(len(A)))
-
-
-def _vec_mat(v, A, p):
-    return tuple(sum(v[t] * A[t][j] for t in range(len(v))) % p
-                 for j in range(len(A[0])))
 
 
 def _mat_inv(A, p):
@@ -129,14 +127,21 @@ def group_order(n, p):
     return order
 
 
-def group_elements(n, p):
-    "All invertible n x n matrices over F_p, each exactly once."
+def _group_pairs(n, p):
+    "(g, g^{-1}) for every invertible n x n matrix g over F_p."
     if p ** (n * n) > SIZE_GUARD:
         raise ValueError("group too large to enumerate")
     for entries in product(range(p), repeat=n * n):
         g = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-        if _mat_inv(g, p) is not None:
-            yield g
+        gi = _mat_inv(g, p)
+        if gi is not None:
+            yield g, gi
+
+
+def group_elements(n, p):
+    "All invertible n x n matrices over F_p, each exactly once."
+    for g, _ in _group_pairs(n, p):
+        yield g
 
 
 def _is_prime(p):
@@ -218,9 +223,17 @@ def join_blocks(B, u, v, d, n, p):
 
 def conjugate(g, gi, x, n, p):
     "(B, u, v, d) -> (g^{-1} B g, g^{-1} u, v g, d) on flat tuples."
-    B, u, v, d = split_blocks(x, n)
-    B2 = _mat_mul(_mat_mul(gi, B, p), g, p)
-    return join_blocks(B2, _mat_vec(gi, u, p), _vec_mat(v, g, p), d, n, p)
+    m, idx = n + 1, range(n)
+    rows = [x[i * m:(i + 1) * m] for i in idx]  # row i is (B[i], u[i])
+    out = []
+    for gi_row in gi:
+        giB = [sum(a * r[j] for a, r in zip(gi_row, rows)) for j in idx]
+        out.extend(sum(giB[t] * g[t][j] for t in idx) % p for j in idx)
+        out.append(sum(a * r[n] for a, r in zip(gi_row, rows)) % p)
+    v = x[n * m:n * m + n]
+    out.extend(sum(v[t] * g[t][j] for t in idx) % p for j in idx)
+    out.append(x[-1] % p)
+    return tuple(out)
 
 
 def fingerprint(x, n, p):
@@ -271,12 +284,7 @@ def orbit_of(x, n, p):
 
 def stabilizer_order(x, n, p):
     "Direct count of group elements fixing x under conjugation."
-    count = 0
-    for g in group_elements(n, p):
-        gi = _mat_inv(g, p)
-        if conjugate(g, gi, x, n, p) == x:
-            count += 1
-    return count
+    return sum(conjugate(g, gi, x, n, p) == x for g, gi in _group_pairs(n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +292,8 @@ def stabilizer_order(x, n, p):
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
+    def __init__(self, elements):
+        self.parent = {x: x for x in elements}
 
     def find(self, x):
         root = x
@@ -305,21 +309,24 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def _orbit_partition(elements, n, p):
-    "Union-find components under the generator action."
-    uf = _UnionFind()
+def _orbit_union_find(elements, n, p):
+    "The union-find of `elements` joined along the generator action."
+    uf = _UnionFind(elements)
     gens = [(g, _mat_inv(g, p)) for g in generators(n, p)]
-    elements = set(elements)
-    for x in elements:
-        uf.add(x)
-    for x in elements:
+    for x in uf.parent:
         for g, gi in gens:
             y = conjugate(g, gi, x, n, p)
-            if y not in elements:
+            if y not in uf.parent:
                 raise ValueError("generator edge leaves the element set")
             uf.union(x, y)
+    return uf
+
+
+def _orbit_partition(elements, n, p):
+    "Union-find components under the generator action, root -> set."
+    uf = _orbit_union_find(elements, n, p)
     comps = {}
-    for x in elements:
+    for x in uf.parent:
         comps.setdefault(uf.find(x), set()).add(x)
     return comps
 
@@ -337,12 +344,11 @@ def _conjugator_certificate(x, y, n, p):
             cols.append(_mat_vec(B, cols[-1], p))
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     Kx, Ky = krylov(Bx, ux), krylov(By, uy)
-    Kyi = _mat_inv(Ky, p)
-    if Kyi is None or _mat_inv(Kx, p) is None:
+    Kxi, Kyi = _mat_inv(Kx, p), _mat_inv(Ky, p)
+    if Kxi is None or Kyi is None:
         return None
-    g = _mat_mul(Kx, Kyi, p)
-    gi = _mat_inv(g, p)
-    if gi is not None and conjugate(g, gi, x, n, p) == y:
+    g, gi = _mat_mul(Kx, Kyi, p), _mat_mul(Ky, Kxi, p)
+    if conjugate(g, gi, x, n, p) == y:
         return g
     return None
 
@@ -361,56 +367,56 @@ def verify_separation(n, p, sample=None, seed=0):
         raise ValueError("n must be at least 1, got %d" % n)
     if not _is_prime(p):
         raise ValueError("p must be prime, got %d" % p)
+    if sample is not None and sample < 1:
+        raise ValueError("sample must be at least 1, got %d" % sample)
     report = CensusReport(p=p, n=n, seed=seed)
     m = (n + 1) ** 2
     if sample is None and p ** m > SIZE_GUARD:
         sample = DEFAULT_SAMPLE
         report.mode = "sampled-fallback"
     if sample is None:
-        elements = [tuple(e) for e in product(range(p), repeat=m)]
-        comps = _orbit_partition(elements, n, p)
-        report.orbit_count = len(comps)
+        uf = _orbit_union_find(product(range(p), repeat=m), n, p)
+        # One fingerprint per element: each orbit root is tallied under
+        # the fingerprints of its elements, and a root met under a second
+        # fingerprint breaks invariance.  An orbit counts as regular
+        # semisimple under a fingerprint when one of its elements there
+        # is; is_rss runs until one is found.
+        size, fp_of_root, broken, by_fp = {}, {}, {}, {}
+        for x in uf.parent:
+            root = uf.find(x)
+            size[root] = size.get(root, 0) + 1
+            fp = fingerprint(x, n, p)
+            if fp_of_root.setdefault(root, fp) != fp:
+                broken[root] = True
+            roots = by_fp.setdefault(fp, {})
+            if not roots.get(root):
+                roots[root] = is_rss(x, n, p)
+        report.orbit_count = len(size)
         order = group_order(n, p)
-        by_fp = {}
-        comp_of = {}
-        for root, comp in comps.items():
-            for x in comp:
-                comp_of[x] = root
-        for x in elements:
-            by_fp.setdefault(fingerprint(x, n, p), []).append(x)
-        for fp, xs in sorted(by_fp.items()):
-            comp_sizes = {}
-            rss_roots = set()
-            for x in xs:
-                root = comp_of[x]
-                comp_sizes[root] = len(comps[root])
-                if is_rss(x, n, p):
-                    rss_roots.add(root)
+        for fp, roots in sorted(by_fp.items()):
+            rss_roots = [root for root, rss in roots.items() if rss]
             if len(rss_roots) > 1:
                 report.violations.append(
                     {"kind": "separation", "fingerprint": fp,
                      "orbits": len(rss_roots)})
             # regular semisimple orbits must be free (trivial stabilizer)
             for root in rss_roots:
-                if len(comps[root]) != order:
+                if size[root] != order:
                     report.violations.append(
                         {"kind": "rss-stabilizer", "fingerprint": fp,
-                         "orbit_size": len(comps[root])})
+                         "orbit_size": size[root]})
             entries = []
-            for root, size in sorted(comp_sizes.items()):
-                if order % size:
+            for root in sorted(roots):
+                if order % size[root]:
                     report.violations.append(
                         {"kind": "orbit-stabilizer", "fingerprint": fp,
-                         "orbit_size": size})
+                         "orbit_size": size[root]})
                     continue
-                entries.append((size, order // size))
+                entries.append((size[root], order // size[root]))
             report.class_table[fp] = sorted(entries)
         # orbits refine fingerprints: every component must sit inside one
-        for root, comp in comps.items():
-            fps = {fingerprint(x, n, p) for x in comp}
-            if len(fps) > 1:
-                report.violations.append(
-                    {"kind": "invariance", "orbit_of": root})
+        for root in broken:
+            report.violations.append({"kind": "invariance", "orbit_of": root})
         return report
 
     if report.mode == "exhaustive":
@@ -423,26 +429,20 @@ def verify_separation(n, p, sample=None, seed=0):
         x = tuple(rng.randrange(p) for _ in range(m))
         if is_rss(x, n, p):
             pool.append(x)
-    report.samples = len(pool)
-    gens = list(group_elements(n, p)) if p ** (n * n) <= 10 ** 6 else None
     pairs_checked = 0
-    for x in pool:
-        if gens:
-            g = rng.choice(gens)
-        else:
-            g = None
-            while g is None or _mat_inv(g, p) is None:
-                g = tuple(tuple(rng.randrange(p) for _ in range(n))
-                          for _ in range(n))
-        gi = _mat_inv(g, p)
-        y = conjugate(g, gi, x, n, p)
-        pairs_checked += 1
-        if fingerprint(x, n, p) != fingerprint(y, n, p):
-            report.violations.append({"kind": "invariance",
-                                      "element": x, "g": g})
     by_fp = {}
     for x in pool:
-        by_fp.setdefault(fingerprint(x, n, p), []).append(x)
+        gi = None
+        while gi is None:
+            g = tuple(tuple(rng.randrange(p) for _ in range(n))
+                      for _ in range(n))
+            gi = _mat_inv(g, p)
+        fp = fingerprint(x, n, p)
+        pairs_checked += 1
+        if fingerprint(conjugate(g, gi, x, n, p), n, p) != fp:
+            report.violations.append({"kind": "invariance",
+                                      "element": x, "g": g})
+        by_fp.setdefault(fp, []).append(x)
     for fp, xs in by_fp.items():
         base = xs[0]
         for other in xs[1:]:
@@ -521,6 +521,32 @@ def reduce_element(cls, eps, p):
     return tuple(flat)
 
 
+def _fibre(target, n, p):
+    """Every element of gl(n+1, F_p) with fingerprint `target`, in
+    enumeration order.  B runs over the matrices whose charpoly the B-part
+    of `target` fixes, u over F_p^n with its Krylov vectors u, Bu, ...,
+    B^{n-1}u computed once, and v over F_p^n; d is the A_0 coordinate.
+    With d and charpoly(B) matched, the fingerprint matches exactly when
+    v . B^k u is the target A_{k+1} for every k < n."""
+    d, target_a, target_b = target[0], target[1:n + 1], target[n + 1:]
+    target_cp = tuple((-1) ** (n - k) * target_b[n - k - 1] % p
+                      for k in range(n)) + (1,)
+    out = []
+    for b_entries in product(range(p), repeat=n * n):
+        B = tuple(tuple(b_entries[i * n:(i + 1) * n]) for i in range(n))
+        if _charpoly_mod(B, p) != target_cp:
+            continue
+        for u in product(range(p), repeat=n):
+            krylov = [u]
+            for _ in range(n - 1):
+                krylov.append(_mat_vec(B, krylov[-1], p))
+            for v in product(range(p), repeat=n):
+                if all(sum(a * b for a, b in zip(v, w)) % p == t
+                       for w, t in zip(krylov, target_a)):
+                    out.append(join_blocks(B, u, v, d, n, p))
+    return out
+
+
 def class_orbit_count(cls, p):
     """Reduce a separable class mod a good prime, enumerate every element
     of gl(n+1, F_p) with the reduced fingerprint, and partition it into
@@ -528,21 +554,8 @@ def class_orbit_count(cls, p):
     n = cls.n
     if not good_prime(cls, p):
         raise ValueError("%d is not a good prime for this class" % p)
-    flat = reduce_element(cls, frozenset(), p)
-    target = fingerprint(tuple(flat), n, p)
-    target_cp = _charpoly_mod(split_blocks(tuple(flat), n)[0], p)
-
-    matches = []
-    for b_entries in product(range(p), repeat=n * n):
-        B = tuple(tuple(b_entries[i * n:(i + 1) * n]) for i in range(n))
-        if _charpoly_mod(B, p) != target_cp:
-            continue
-        for uv in product(range(p), repeat=2 * n):
-            u, v = uv[:n], uv[n:]
-            x = join_blocks(B, u, v, target[0], n, p)
-            if fingerprint(x, n, p) == target:
-                matches.append(x)
-    comps = _orbit_partition(matches, n, p)
+    target = fingerprint(reduce_element(cls, frozenset(), p), n, p)
+    comps = _orbit_partition(_fibre(target, n, p), n, p)
     stab_orders = []
     for comp in comps.values():
         rep = min(comp)

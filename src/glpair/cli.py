@@ -58,6 +58,11 @@ def cmd_invariants(args):
 def _class_from_descriptor(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("descriptor must be a JSON object")
+    for key in ("B", "factors", "alpha", "d"):
+        if key not in data:
+            raise ValueError("descriptor has no %r key" % key)
     B = matrix_from_lists(QQ, data["B"])
     factors = [Polynomial(QQ, [parse_rational(str(c)) for c in coeffs])
                for coeffs in data["factors"]]

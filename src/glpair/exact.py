@@ -530,7 +530,10 @@ def scalar_to_str(x):
 
 
 def parse_rational(s):
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 def matrix_to_lists(M):

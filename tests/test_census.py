@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -181,3 +182,77 @@ def test_n1_class_orbit_counts():
         assert class_orbit_count(alive, p) == (1, [1])
         cnt, stabs = class_orbit_count(dead, p)
         assert cnt == 3 and stabs == [1, 1, p - 1]
+
+
+def _criterion_2_classes():
+    B = Matrix(QQ, [[1, 0], [0, 2]])
+    facs = [Polynomial(QQ, [-1, 1]), Polynomial(QQ, [-2, 1])]
+    out = [build_rrss_class(B, facs, a, F(1))
+           for a in ([F(1), F(4)], [F(0), F(4)], [F(0), F(0)])]
+    Bq = Matrix(QQ, [[0, -1], [1, 0]])
+    out.append(build_rrss_class(Bq, [Polynomial(QQ, [1, 0, 1])], [F(0)],
+                                F(2)))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_class_enumeration_matches_a_fingerprint_scan(p, monkeypatch):
+    """The elements class_orbit_count partitions are exactly the elements
+    of gl(3, F_p) whose fingerprint is the class's.  The scan calls
+    `fingerprint` on every element whose d entry (the A_0 coordinate)
+    is a target's; at p = 3 it covers the whole space."""
+    from glpair import census
+    from glpair.census import reduce_element
+    seen = []
+    partition = census._orbit_partition
+    monkeypatch.setattr(census, "_orbit_partition",
+                        lambda els, n, q: seen.append(list(els))
+                        or partition(els, n, q))
+    enumerated = {}
+    for cls in _criterion_2_classes():
+        if not good_prime(cls, p):
+            continue
+        target = fingerprint(reduce_element(cls, frozenset(), p), 2, p)
+        class_orbit_count(cls, p)
+        enumerated[target] = seen.pop()
+    assert len(enumerated) == (4 if p == 3 else 3)
+    ds = range(p) if p == 3 else {fp[0] for fp in enumerated}
+    scanned = {fp: [] for fp in enumerated}
+    for d in ds:
+        for head in product(range(p), repeat=8):
+            x = head + (d,)
+            fp = fingerprint(x, 2, p)
+            assert fp[0] == d
+            if fp in scanned:
+                scanned[fp].append(x)
+    for fp, xs in enumerated.items():
+        assert len(xs) == len(set(xs))
+        assert sorted(xs) == sorted(scanned[fp]) and xs
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (2, 3)])
+def test_exhaustive_census_fingerprints_each_element_once(n, p, monkeypatch):
+    from glpair import census
+    calls = []
+    exact = census.fingerprint
+    monkeypatch.setattr(census, "fingerprint",
+                        lambda x, n, p: calls.append(x) or exact(x, n, p))
+    assert verify_separation(n, p).ok()
+    assert len(calls) == len(set(calls)) == p ** ((n + 1) ** 2)
+
+
+@pytest.mark.parametrize("n, p, seed", [(2, 3, 1), (2, 5, 3), (3, 3, 2)])
+def test_sampled_conjugators_are_invertible(n, p, seed, monkeypatch):
+    from glpair import census
+    from glpair.census import _mat_mul
+    pairs = []
+    exact = census.conjugate
+    monkeypatch.setattr(census, "conjugate",
+                        lambda g, gi, x, n, p: pairs.append((g, gi))
+                        or exact(g, gi, x, n, p))
+    rep = verify_separation(n, p, sample=40, seed=seed)
+    assert rep.ok() and len(pairs) >= 40
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for g, gi in pairs:
+        assert _mat_inv(g, p) is not None
+        assert _mat_mul(g, gi, p) == one

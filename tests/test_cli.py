@@ -114,16 +114,50 @@ def test_pexp_fails_when_its_quadrature_check_fails(capsys, monkeypatch):
     assert json.loads(out)["quadrature_check"]["rel_error"] > 1e-6
 
 
-@pytest.mark.parametrize("n, p", [(1, 4), (0, 3), (1, 1), (2, 9)])
-def test_census_rejects_bad_n_and_p_in_one_line(n, p):
-    "These hung (composite p) or raised a traceback (n = 0)."
+def _one_line_error(*argv):
+    "Run the CLI in a subprocess; it must exit 2 with one stderr line."
     proc = subprocess.run(
-        [sys.executable, "-m", "glpair.cli", "census", "--n", str(n),
-         "--p", str(p)], capture_output=True, text=True, timeout=30,
+        [sys.executable, "-m", "glpair.cli", *argv], capture_output=True,
+        text=True, timeout=30,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
+    return proc.stderr
+
+
+@pytest.mark.parametrize("n, p", [(1, 4), (0, 3), (1, 1), (2, 9)])
+def test_census_rejects_bad_n_and_p_in_one_line(n, p):
+    "These hung (composite p) or raised a traceback (n = 0)."
+    _one_line_error("census", "--n", str(n), "--p", str(p))
+
+
+@pytest.mark.parametrize("sample", ["0", "-5"])
+def test_census_rejects_an_empty_sample_in_one_line(sample):
+    "A census that checks zero cases is not a pass; it exited 0."
+    err = _one_line_error("census", "--n", "2", "--p", "3",
+                          "--sample", sample)
+    assert "sample" in err
+
+
+def test_zero_denominators_exit_2_in_one_line(tmp_path):
+    "They raised a ZeroDivisionError traceback."
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps([["1/0", "1"], ["3", "5"]]))
+    assert "1/0" in _one_line_error("invariants", "--matrix", str(path))
+    assert "1/0" in _one_line_error("pexp", "--n", "2", "--parabolic", "1",
+                                    "--s=1/2", "--X=1/0,1,1")
+
+
+def test_descriptor_without_a_key_exits_2_naming_it(tmp_path):
+    "A missing key raised a KeyError traceback and exit 1."
+    path = tmp_path / "cls.json"
+    path.write_text(json.dumps({
+        "n": 2, "B": [["1", "0"], ["0", "2"]],
+        "factors": [["-1", "1"], ["-2", "1"]], "d": "1"}))
+    assert "alpha" in _one_line_error("classify", "--descriptor", str(path))
+    path.write_text("[1]")
+    assert "object" in _one_line_error("classify", "--descriptor", str(path))
 
 
 def test_pexp_bad_input(capsys):
