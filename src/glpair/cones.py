@@ -1,10 +1,13 @@
 """Truncation cone functions on a_0 and their alternating-sum identities.
 
-All indicator evaluations are exact (Fraction arithmetic); the verify_*
-sweeps check each identity by exact integer comparison at generic rational
-points (no pairing exactly zero), resampling degenerate draws.  Identity
-sweeps are embarrassingly parallel over sample points; the report merge is
-a plain sum of per-sample counters.
+Every indicator is an exact integer sign test: each evaluation scales H
+(and H - X) once to a positive integer multiple and pairs it with the
+integer-scaled roots and coweights of `parabolics.int_pair_data`; a sign
+does not change under positive scaling.  The verify_* sweeps check each
+identity by exact integer comparison at generic rational points (no
+pairing exactly zero), resampling degenerate draws.  Identity sweeps are
+embarrassingly parallel over sample points; the report merge is a plain
+sum of per-sample counters.
 """
 
 from __future__ import annotations
@@ -12,60 +15,99 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .exact import QQ, Matrix
-from .parabolics import (contains, coweights, dot, enumerate_rel_std,
-                         full_group, parabolics_above, parabolics_between,
+from .parabolics import (block_indicator, contains, coweights, dot,
+                         enumerate_rel_std, full_group, int_pair_data,
+                         int_scaled, parabolics_above, parabolics_between,
                          simple_roots)
+
+
+def _int_point(H):
+    "A positive integer multiple of the rational point H."
+    return int_scaled([Fraction(x) for x in H])
+
+
+def _positive(vecs, h):
+    "1 iff every integer vector in vecs pairs positively with h."
+    return int(all(sum(map(mul, v, h)) > 0 for v in vecs))
+
+
+def _nonzero(vecs, h):
+    "True iff no integer vector in vecs pairs to zero with h."
+    return all(sum(map(mul, v, h)) for v in vecs)
+
+
+# The kernels below take integer points h (and hx for H - X); the public
+# functions scale their rational arguments and check nesting.
+
+
+def _tau(P, Q, h):
+    return _positive(int_pair_data(P, Q)[0], h)
+
+
+def _tau_hat(P, Q, h):
+    return _positive(int_pair_data(P, Q)[1], h)
+
+
+def _tau_bar(Q, h):
+    return int(all(sum(map(mul, a, h)) <= 0
+                   for a in int_pair_data(Q, full_group(Q.n))[0]))
+
+
+def _sigma(P1, P2, h):
+    G = full_group(P1.n)
+    total = 0
+    for Q in parabolics_above(P2):
+        if _tau(P1, Q, h):
+            sign = -1 if (P2.num_blocks - Q.num_blocks) % 2 else 1
+            total += sign * _tau_hat(Q, G, h)
+    return total
+
+
+def _gamma_prime(Q, h, hx):
+    G = full_group(Q.n)
+    total = 0
+    for R in parabolics_above(Q):
+        if _tau(Q, R, h):
+            sign = -1 if (Q.num_blocks - R.num_blocks) % 2 else 1
+            total += sign * _tau_hat(R, G, hx)
+    return total
 
 
 def tau(P, Q, H):
     "1 iff every simple root of the pair is positive on H (via a_P averages)."
     if not contains(Q, P):
         raise ValueError("pair is not nested")
-    return int(all(dot(a, H) > 0 for a in simple_roots(P, Q)))
+    return _tau(P, Q, _int_point(H))
 
 
 def tau_hat(P, Q, H):
     "1 iff every coweight of the pair is positive on H."
     if not contains(Q, P):
         raise ValueError("pair is not nested")
-    return int(all(dot(w, H) > 0 for w in coweights(P, Q)))
+    return _tau_hat(P, Q, _int_point(H))
 
 
 def tau_bar(Q, H):
     "1 iff every simple root of Q (in the full group) is <= 0 on H."
-    G = full_group(Q.n)
-    return int(all(dot(a, H) <= 0 for a in simple_roots(Q, G)))
+    return _tau_bar(Q, _int_point(H))
 
 
 def sigma(P1, P2, H):
     "Signed sum over Q >= P2 of (-1)^(d_{P2} - d_Q) tau(P1,Q,H) tau_hat(Q,G,H)."
     if not contains(P2, P1):
         raise ValueError("pair is not nested")
-    G = full_group(P1.n)
-    total = 0
-    for Q in parabolics_above(P2):
-        sign = -1 if (P2.num_blocks - Q.num_blocks) % 2 else 1
-        t = tau(P1, Q, H)
-        if t:
-            total += sign * t * tau_hat(Q, G, H)
-    return total
+    return _sigma(P1, P2, _int_point(H))
 
 
 def gamma_prime(Q, H, X):
     """Sum over R >= Q of (-1)^(d_Q - d_R) tau_hat(R,G,H-X) tau(Q,R,H);
     the projections onto a_R are implicit in the pairings (every functional
     vector already lies in the relevant subspace)."""
-    G = full_group(Q.n)
-    HX = tuple(Fraction(h) - Fraction(x) for h, x in zip(H, X))
-    total = 0
-    for R in parabolics_above(Q):
-        t = tau(Q, R, H)
-        if t:
-            sign = -1 if (Q.num_blocks - R.num_blocks) % 2 else 1
-            total += sign * tau_hat(R, G, HX) * t
-    return total
+    HX = [Fraction(h) - Fraction(x) for h, x in zip(H, X)]
+    return _gamma_prime(Q, _int_point(H), int_scaled(HX))
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +163,29 @@ def support_box(Q, X, basis):
 def _sample_in_a(P, rng, span=40):
     "A random integer point of a_P (constant on blocks)."
     vals = [rng.randint(-span, span) for _ in P.blocks()]
-    out = [Fraction(0)] * (P.n + 1)
+    out = [0] * (P.n + 1)
     for v, blk in zip(vals, P.blocks()):
         for i in blk:
-            out[i] = Fraction(v)
+            out[i] = v
     return tuple(out)
 
 
-def _generic_for(P, H):
-    "No root or coweight pairing relevant to P vanishes at H."
+def _generic_for(P, h):
+    "No root or coweight pairing relevant to P vanishes at the integer h."
     G = full_group(P.n)
     for Q in parabolics_above(P):
-        if any(dot(w, H) == 0 for w in coweights(P, Q)):
-            return False
-        if any(dot(w, H) == 0 for w in coweights(Q, G)):
-            return False
-        if any(dot(a, H) == 0 for a in simple_roots(P, Q)):
+        roots, cws = int_pair_data(P, Q)
+        if not (_nonzero(cws, h) and _nonzero(int_pair_data(Q, G)[1], h)
+                and _nonzero(roots, h)):
             return False
     return True
+
+
+def _check_samples(sample_count):
+    "A sweep over no sample checks nothing; refuse it."
+    if sample_count < 1:
+        raise ValueError("sample count must be at least 1, got %d"
+                         % sample_count)
 
 
 def verify_basic_identity(n):
@@ -163,6 +210,7 @@ def verify_basic_identity(n):
 def verify_langlands(n, sample_count, seed):
     """sum over Q >= P of tau_hat(P,Q,H) tau_bar(Q,H) = 1 at generic
     rational H in a_P, for every P."""
+    _check_samples(sample_count)
     rng = random.Random(seed)
     cases = failures = degenerate = 0
     fail_list = []
@@ -172,15 +220,14 @@ def verify_langlands(n, sample_count, seed):
         for _ in range(sample_count):
             while True:
                 H = _sample_in_a(P, rng)
-                ok = all(dot(w, H) != 0
-                         for Q in above for w in coweights(P, Q)) and \
-                     all(dot(a, H) != 0
-                         for Q in above for a in simple_roots(Q, G))
+                ok = all(_nonzero(int_pair_data(P, Q)[1], H)
+                         for Q in above) and \
+                     all(_nonzero(int_pair_data(Q, G)[0], H) for Q in above)
                 if ok:
                     break
                 degenerate += 1
             cases += 1
-            total = sum(tau_hat(P, Q, H) * tau_bar(Q, H) for Q in above)
+            total = sum(_tau_hat(P, Q, H) * _tau_bar(Q, H) for Q in above)
             if total != 1:
                 failures += 1
                 if len(fail_list) < 5:
@@ -198,6 +245,7 @@ def verify_gamma_recurrence(n, sample_count, seed):
     defined here (its leading term is tau_hat(Q, G, H - X) with sign +1),
     so no extra (-1)-power appears.
     """
+    _check_samples(sample_count)
     rng = random.Random(seed)
     G = full_group(n)
     cases = failures = degenerate = 0
@@ -209,19 +257,20 @@ def verify_gamma_recurrence(n, sample_count, seed):
                 H = _sample_in_a(P, rng)
                 X = _sample_in_a(P, rng)
                 HX = tuple(h - x for h, x in zip(H, X))
-                ok = all(dot(w, H) != 0 and dot(w, HX) != 0
-                         for Q in above for w in coweights(Q, G)) and \
-                     all(dot(w, H) != 0
-                         for Q in above for w in coweights(P, Q)) and \
-                     all(dot(a, H) != 0
-                         for Q in above for R in parabolics_above(Q)
-                         for a in simple_roots(Q, R))
+                ok = all(_nonzero(int_pair_data(Q, G)[1], H) and
+                         _nonzero(int_pair_data(Q, G)[1], HX)
+                         for Q in above) and \
+                     all(_nonzero(int_pair_data(P, Q)[1], H)
+                         for Q in above) and \
+                     all(_nonzero(int_pair_data(Q, R)[0], H)
+                         for Q in above for R in parabolics_above(Q))
                 if ok:
                     break
                 degenerate += 1
             cases += 1
-            lhs = tau_hat(P, G, HX)
-            rhs = sum(tau_hat(P, Q, H) * gamma_prime(Q, H, X) for Q in above)
+            lhs = _tau_hat(P, G, HX)
+            rhs = sum(_tau_hat(P, Q, H) * _gamma_prime(Q, H, HX)
+                      for Q in above)
             if lhs != rhs:
                 failures += 1
                 if len(fail_list) < 5:
@@ -236,6 +285,7 @@ def verify_gamma_recurrence(n, sample_count, seed):
 def verify_sigma_decomposition(n, sample_count, seed):
     """tau(P1,P,H) tau_hat(P,G,H) = sum over P2 >= P of sigma(P1,P2,H), and
     sigma(P,P,.) vanishes at every generic sample unless P is the full group."""
+    _check_samples(sample_count)
     rng = random.Random(seed)
     G = full_group(n)
     cases = failures = 0
@@ -246,8 +296,8 @@ def verify_sigma_decomposition(n, sample_count, seed):
                 while not _generic_for(P1, H):
                     H = _sample_in_a(P1, rng)
                 cases += 1
-                lhs = tau(P1, P, H) * tau_hat(P, G, H)
-                rhs = sum(sigma(P1, P2, H) for P2 in parabolics_above(P))
+                lhs = _tau(P1, P, H) * _tau_hat(P, G, H)
+                rhs = sum(_sigma(P1, P2, H) for P2 in parabolics_above(P))
                 if lhs != rhs:
                     failures += 1
     for P in enumerate_rel_std(n):
@@ -257,7 +307,7 @@ def verify_sigma_decomposition(n, sample_count, seed):
             while not _generic_for(P, H):
                 H = _sample_in_a(P, rng)
             cases += 1
-            if sigma(P, P, H) != expected:
+            if _sigma(P, P, H) != expected:
                 failures += 1
     return {"identity": "cones.sigma-decomposition", "n": n, "seed": seed,
             "cases": cases, "failures": failures}
@@ -265,7 +315,10 @@ def verify_sigma_decomposition(n, sample_count, seed):
 
 def verify_gamma_support(n, sample_count, seed):
     """gamma_prime(Q, ., X) vanishes at sampled points outside its support
-    box, and takes values in {-1, 0, 1} at points inside, for every Q."""
+    box, and takes values in {-1, 0, 1} at points inside, for every Q.
+    A value outside {-1, 0, 1} counts as a failure and also clears
+    `values_in_unit_range`; only the points outside the box count as cases."""
+    _check_samples(sample_count)
     rng = random.Random(seed)
     cases = failures = 0
     value_range_ok = True
@@ -285,11 +338,13 @@ def verify_gamma_support(n, sample_count, seed):
             for c, b in zip(t, basis):
                 H = [h + c * x for h, x in zip(H, b)]
             cases += 1
-            if gamma_prime(Q, tuple(H), X) != 0:
+            if gamma_prime(Q, H, X) != 0:
                 failures += 1
         for _ in range(sample_count):
             H = _sample_in_a(Q, rng)
-            if gamma_prime(Q, H, X) not in (-1, 0, 1):
+            HX = tuple(h - x for h, x in zip(H, X))
+            if _gamma_prime(Q, H, HX) not in (-1, 0, 1):
+                failures += 1
                 value_range_ok = False
     return {"identity": "cones.gamma-support", "n": n, "seed": seed,
             "cases": cases, "failures": failures,
@@ -298,7 +353,6 @@ def verify_gamma_support(n, sample_count, seed):
 
 def _centered_block_basis(Q):
     "Basis of the centered part of a_Q: differences of block indicators."
-    from .parabolics import block_indicator
     blks = Q.blocks()
     return [tuple(x - y for x, y in
                   zip(block_indicator(blks[j], Q.n),

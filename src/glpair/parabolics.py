@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact import QQ, Matrix, Polynomial
 
@@ -48,11 +49,6 @@ class RelStdParabolic:
     @property
     def num_blocks(self):
         return len(self.indices) - 1
-
-    @property
-    def dim_a(self):
-        "dim a_P = number of blocks."
-        return self.num_blocks
 
     @property
     def corank(self):
@@ -187,10 +183,6 @@ class AffineWeight:
         "Pairing with a covector; returns (c0, c1) meaning c0 + c1*s."
         return (dot(self.const, v), dot(self.slope, v))
 
-    def at(self, s):
-        s = Fraction(s)
-        return add_vec(self.const, scale_vec(s, self.slope))
-
     def restrict_equal(self, other, vectors):
         "True iff self and other agree on every vector, identically in s."
         return all(self.pair(v) == other.pair(v) for v in vectors)
@@ -205,6 +197,7 @@ def s_sub(Q):
     return (Fraction(idx[k - 1] + idx[k] - n, den), Fraction(n + 1, den))
 
 
+@lru_cache(maxsize=None)
 def rho_Q_s(Q):
     """The affine weight (1 + s_Q) * varpi^-_{i_{k-1}} + (1 - s_Q) * varpi^+_{i_k + 1};
     the two extreme coweights degenerate to zero when k = 1 or k = l."""
@@ -257,16 +250,6 @@ def center(v):
     n = len(v)
     avg = sum(v, Fraction(0)) / n
     return tuple(x - avg for x in v)
-
-
-def project_to_a(P, H):
-    "Orthogonal projection of H onto a_P: average over each block."
-    out = [Fraction(0)] * (P.n + 1)
-    for blk in P.blocks():
-        avg = sum((Fraction(H[i]) for i in blk), Fraction(0)) / len(blk)
-        for i in blk:
-            out[i] = avg
-    return tuple(out)
 
 
 def st_basis(Q):
@@ -392,10 +375,46 @@ def full_group(n):
     return RelStdParabolic(n, (0, n), 1)
 
 
+# ---------------------------------------------------------------------------
+# integer sign kernel: a sign or zero test of a pairing does not change when
+# either vector is multiplied by a positive number
+
+
+def int_scaled(v, m=None):
+    """The integer vector m * v, for m a positive multiple of every
+    denominator of v (by default their lcm)."""
+    if m is None:
+        m = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (m // x.denominator) for x in v)
+
+
+@lru_cache(maxsize=None)
+def int_pair_data(P, Q):
+    """(roots, coweights) of the nested pair P <= Q as in `_pair_data`, each
+    vector scaled by the lcm of its denominators to integer coordinates."""
+    roots, _, cws = _pair_data(P, Q)
+    return (tuple(int_scaled(a) for a in roots),
+            tuple(int_scaled(w) for w in cws))
+
+
 def restriction_check(Q, R):
     """True iff the affine weights of Q and R agree, identically in s, on
-    the subspace a_R (spanned by R's block indicators).  Requires R >= Q."""
+    the subspace a_R (spanned by R's block indicators).  Requires R >= Q.
+
+    With d the difference of the two weights (constant and slope parts, on
+    one positive integer scale), the pairing of d with R's centred
+    indicator of block b vanishes iff (n+1) * sum_{i in b} d_i equals
+    |b| * sum_i d_i."""
     if not contains(R, Q):
         raise ValueError("R must contain Q")
-    basis = [center(block_indicator(b, R.n)) for b in R.blocks()]
-    return rho_Q_s(Q).restrict_equal(rho_Q_s(R), basis)
+    a, b = rho_Q_s(Q), rho_Q_s(R)
+    parts = (a.const, a.slope, b.const, b.slope)
+    m = lcm(*(x.denominator for v in parts for x in v))
+    blocks = R.blocks()
+    for u, v in ((a.const, b.const), (a.slope, b.slope)):
+        d = [x - y for x, y in zip(int_scaled(u, m), int_scaled(v, m))]
+        total = sum(d)
+        for blk in blocks:
+            if (R.n + 1) * sum(d[i] for i in blk) != len(blk) * total:
+                return False
+    return True

@@ -371,13 +371,6 @@ def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def rho_functional(coeff_map):
-    """An affine-in-s functional on the torus coordinate space: a map
-    index -> (c0, c1) meaning the rho_index coefficient is c0 + c1*s.
-    Only positive indices are stored (rho_{-i} = -rho_i)."""
-    return {i: (Fraction(a), Fraction(b)) for i, (a, b) in coeff_map.items()}
-
-
 def s_det_functional(I):
     "s * det restricted to the coordinates of I: coefficient s on each rho_i."
     return {i: (Fraction(0), Fraction(1)) for i in I}

@@ -1,10 +1,11 @@
-"""Regenerate tests/golden/census.json: the sha256 of the report of every
-census config below, as `glpair census ... --output FILE` writes it.
+"""Regenerate tests/golden/manifest.json: the sha256 of the report of every
+CLI config below, as `glpair ARGV --output FILE` writes it.
 
     python3 tests/golden/regen.py
 
 Run it from any directory; it imports glpair from the checkout's `src/`.
-A change that moves a hash must say which configs moved and why.
+Each config is a full CLI argv, command first.  A change that moves a
+hash must say which configs moved and why.
 """
 
 from __future__ import annotations
@@ -18,24 +19,30 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-MANIFEST = HERE / "census.json"
+MANIFEST = HERE / "manifest.json"
 
 CONFIGS = (
-    [["--n", "1", "--p", str(p), "--format", fmt]
+    [["census", "--n", "1", "--p", str(p), "--format", fmt]
      for p in (2, 3, 5, 7) for fmt in ("json", "csv")]
-    + [["--n", "2", "--p", "3"],
-       ["--n", "2", "--p", "3", "--sample", "200", "--seed", "1"],
-       ["--n", "2", "--p", "5", "--sample", "100", "--seed", "3"],
-       ["--n", "3", "--p", "3", "--sample", "50", "--seed", "2"]])
+    + [["census", "--n", "2", "--p", "3"],
+       ["census", "--n", "2", "--p", "3", "--sample", "200", "--seed", "1"],
+       ["census", "--n", "2", "--p", "5", "--sample", "100", "--seed", "3"],
+       ["census", "--n", "3", "--p", "3", "--sample", "50", "--seed", "2"]]
+    + [["parabolics", "--n", str(n), "--list"] for n in (1, 2, 3, 4)]
+    + [["verify", "parabolics", "--n", str(n)] for n in (1, 2, 3, 4, 5)]
+    + [["verify", "cones", "--n", "2", "--samples", "10", "--seed", str(s)]
+       for s in (0, 1, 2)]
+    + [["verify", "cones", "--n", "3", "--samples", "4", "--seed", "1"],
+       ["verify", "cones", "--n", "4", "--samples", "2", "--seed", "1"]])
 
 
-def report_sha(args, workdir):
-    "(exit code, sha256 of the report file) of `glpair census *args`."
+def report_sha(argv, workdir):
+    "(exit code, sha256 of the report file) of `glpair *argv`."
     from glpair.cli import main
     path = Path(workdir) / "report"
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main(["census"] + list(args) + ["--output", str(path)])
+        code = main(list(argv) + ["--output", str(path)])
     return code, hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -43,9 +50,9 @@ def main():
     sys.path.insert(0, str(HERE.parent.parent / "src"))
     entries = []
     with tempfile.TemporaryDirectory() as work:
-        for args in CONFIGS:
-            code, sha = report_sha(args, work)
-            entries.append({"args": args, "exit_code": code, "sha256": sha})
+        for argv in CONFIGS:
+            code, sha = report_sha(argv, work)
+            entries.append({"argv": argv, "exit_code": code, "sha256": sha})
     MANIFEST.write_text("[\n%s\n]\n" % ",\n".join(
         json.dumps(e, sort_keys=True) for e in entries))
     print("wrote %d configs to %s" % (len(entries), MANIFEST))

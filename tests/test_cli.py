@@ -140,6 +140,29 @@ def test_census_rejects_an_empty_sample_in_one_line(sample):
     assert "sample" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_cones_rejects_an_empty_sample_in_one_line(samples):
+    "Two of its sweeps ran no case and the suite exited 0."
+    err = _one_line_error("verify", "cones", "--n", "2",
+                          "--samples", samples)
+    assert "sample" in err
+
+
+def test_verify_cones_fails_on_a_gamma_value_out_of_range(monkeypatch,
+                                                          capsys):
+    "A gamma_prime value of 2 was reported but exited 0."
+    from glpair import cones
+    kernel = cones._gamma_prime
+    monkeypatch.setattr(cones, "_gamma_prime",
+                        lambda Q, h, hx: 2 if kernel(Q, h, hx) else 0)
+    code, out, _ = run(capsys, "verify", "cones", "--n", "2",
+                       "--samples", "10")
+    assert code == 1
+    support = [c for c in json.loads(out)["checks"]
+               if c["identity"] == "cones.gamma-support"]
+    assert support[0]["failures"] > 0
+
+
 def test_zero_denominators_exit_2_in_one_line(tmp_path):
     "They raised a ZeroDivisionError traceback."
     path = tmp_path / "X.json"

@@ -1,15 +1,17 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from glpair import cones
 from glpair.cones import (gamma_prime, sigma, support_box, tau, tau_bar,
                           tau_hat, verify_basic_identity,
                           verify_gamma_recurrence, verify_gamma_support,
                           verify_langlands, verify_sigma_decomposition,
                           _centered_block_basis, _gamma_walls)
 from glpair.parabolics import (RelStdParabolic, coweights, delta_hat, dot,
-                               enumerate_rel_std, full_group,
-                               parabolics_above, simple_roots)
+                               enumerate_rel_std, full_group, int_pair_data,
+                               int_scaled, parabolics_above, simple_roots)
 
 
 def test_indicator_boundaries():
@@ -25,8 +27,9 @@ def test_indicator_boundaries():
     deep = (F(10), F(10), F(-10))
     assert tau(Q, G, deep) == 1 and tau_hat(Q, G, deep) == 1
     assert tau_bar(Q, deep) == 0
-    with pytest.raises(ValueError):
-        tau(G, Q, zero)
+    for fn in (tau, tau_hat, sigma):
+        with pytest.raises(ValueError):
+            fn(G, Q, zero)
 
 
 def test_sigma_trivial_cases():
@@ -132,3 +135,72 @@ def test_gamma_walls_are_the_distinct_term_walls():
                        for w in coweights(R, G)]
             assert len(set(walls)) == len(walls) == 2 * Q.corank
             assert set(walls) == set(listed)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _rational_points(n, vecs, rng):
+    """Two seeded rational points with non-unit denominators, and one point
+    on the wall of each vector in vecs (H minus its projection onto v)."""
+    pts = [tuple(F(rng.randint(-30, 30), rng.randint(1, 7))
+                 for _ in range(n + 1)) for _ in range(2)]
+    for v in vecs:
+        H = pts[0]
+        c = dot(v, H) / dot(v, v)
+        pts.append(tuple(h - c * x for h, x in zip(H, v)))
+    return pts
+
+
+def test_integer_kernel_matches_fraction_signs():
+    """For every nested pair at n <= 4, each integer-scaled root and coweight
+    pairs with the scaled point to the sign of the Fraction pairing, so the
+    integer tau, tau_hat, tau_bar and genericity test equal the Fraction
+    reference, on walls too."""
+    rng = random.Random(20)
+    on_wall = 0
+    for n in (1, 2, 3, 4):
+        G = full_group(n)
+        for P in enumerate_rel_std(n):
+            for Q in parabolics_above(P):
+                roots, cws = simple_roots(P, Q), coweights(P, Q)
+                iroots, icws = int_pair_data(P, Q)
+                for H in _rational_points(n, roots + cws, rng):
+                    h = int_scaled(H)
+                    for v, iv in zip(roots + cws, iroots + icws):
+                        ref = _sign(dot(v, H))
+                        assert _sign(sum(a * b for a, b in zip(iv, h))) == ref
+                        on_wall += ref == 0
+                    assert tau(P, Q, H) == int(all(dot(a, H) > 0
+                                                   for a in roots))
+                    assert tau_hat(P, Q, H) == int(all(dot(w, H) > 0
+                                                       for w in cws))
+                    assert tau_bar(Q, H) == int(all(
+                        dot(a, H) <= 0 for a in simple_roots(Q, G)))
+                    assert cones._generic_for(P, h) == all(
+                        dot(v, H) != 0 for R in parabolics_above(P)
+                        for v in coweights(P, R) + coweights(R, G)
+                        + simple_roots(P, R))
+    assert on_wall > 100
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sweeps_refuse_an_empty_sample(samples):
+    "A sweep over no sample checked nothing and passed with cases = 0."
+    for fn in (verify_langlands, verify_gamma_recurrence,
+               verify_sigma_decomposition, verify_gamma_support):
+        with pytest.raises(ValueError, match="sample"):
+            fn(2, samples, 0)
+
+
+def test_gamma_value_out_of_range_is_a_failure(monkeypatch):
+    """Every nonzero gamma_prime value becomes 2.  Outside the box it is
+    still 0, so only the range check can fail; it used to clear
+    values_in_unit_range without counting a failure."""
+    kernel = cones._gamma_prime
+    monkeypatch.setattr(cones, "_gamma_prime",
+                        lambda Q, h, hx: 2 if kernel(Q, h, hx) else 0)
+    rep = verify_gamma_support(2, 10, 0)
+    assert rep["failures"] > 0
+    assert not rep["values_in_unit_range"]

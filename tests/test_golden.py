@@ -1,4 +1,4 @@
-"""Every census report in tests/golden/census.json is reproduced byte for
+"""Every CLI report in tests/golden/manifest.json is reproduced byte for
 byte.  Regenerate the manifest with `python3 tests/golden/regen.py`."""
 
 import importlib.util
@@ -8,14 +8,14 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_census_reports_match_the_golden_hashes(tmp_path):
+def test_cli_reports_match_the_golden_hashes(tmp_path):
     spec = importlib.util.spec_from_file_location("regen",
                                                   GOLDEN / "regen.py")
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
-    manifest = json.loads((GOLDEN / "census.json").read_text())
-    assert [e["args"] for e in manifest] == regen.CONFIGS
-    moved = [e["args"] for e in manifest
-             if regen.report_sha(e["args"], tmp_path)
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())
+    assert [e["argv"] for e in manifest] == regen.CONFIGS
+    moved = [e["argv"] for e in manifest
+             if regen.report_sha(e["argv"], tmp_path)
              != (e["exit_code"], e["sha256"])]
     assert moved == []

@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from glpair.parabolics import (RelStdParabolic, contains,
+from glpair import parabolics
+from glpair.parabolics import (AffineWeight, RelStdParabolic, block_indicator,
+                               center, contains,
                                coroot_projections, coweights, delta_hat,
                                det_center_weight, det_weight, dot,
                                enumerate_rel_std, full_group,
@@ -213,6 +215,48 @@ def test_restriction_identity():
                 assert restriction_check(Q, R)
     with pytest.raises(ValueError):
         restriction_check(full_group(1), RelStdParabolic(1, (0, 0, 1), 1))
+
+
+def _centred_blocks(R):
+    return [center(block_indicator(b, R.n)) for b in R.blocks()]
+
+
+def test_integer_restriction_check_matches_the_fraction_pairing():
+    "All 1457 nested pairs at n <= 5, against AffineWeight.restrict_equal."
+    pairs = [(Q, R) for n in range(1, 6) for Q in enumerate_rel_std(n)
+             for R in parabolics_above(Q)]
+    assert len(pairs) == 1457
+    for Q, R in pairs:
+        ref = rho_Q_s(Q).restrict_equal(rho_Q_s(R), _centred_blocks(R))
+        assert restriction_check(Q, R) == ref
+
+
+def test_restriction_check_rejects_a_perturbed_weight(monkeypatch):
+    """Every real pair restricts equal, so a constant True would pass the
+    test above; shifting rho_{Q,s} by e_0 / 3 in its constant or its slope
+    part breaks the identity on every proper R > Q, where e_0 pairs nonzero
+    with the centred indicator of the block holding coordinate 0."""
+    true_rho = parabolics.rho_Q_s
+    checked = 0
+    for n in (1, 2, 3):
+        for Q in enumerate_rel_std(n):
+            for R in parabolics_above(Q):
+                if R == Q or R.is_full_group():
+                    continue
+                rho = true_rho(Q)
+                bump = (F(1, 3),) + (F(0),) * n
+                for bad in (AffineWeight(parabolics.add_vec(rho.const, bump),
+                                         rho.slope),
+                            AffineWeight(rho.const,
+                                         parabolics.add_vec(rho.slope, bump))):
+                    monkeypatch.setattr(
+                        parabolics, "rho_Q_s",
+                        lambda P, bad=bad: bad if P == Q else true_rho(P))
+                    assert not bad.restrict_equal(true_rho(R),
+                                                  _centred_blocks(R))
+                    assert not restriction_check(Q, R)
+                    checked += 1
+    assert checked > 50
 
 
 def test_rho_nonzero_on_intermediate_restrictions():
