@@ -3,9 +3,23 @@
 Every indicator is an exact integer sign test: each evaluation scales H
 (and H - X) once to a positive integer multiple and pairs it with the
 integer-scaled roots and coweights of `parabolics.int_pair_data`; a sign
-does not change under positive scaling.  The verify_* sweeps check each
-identity by exact integer comparison at generic rational points (no
-pairing exactly zero), resampling degenerate draws.  Identity sweeps are
+does not change under positive scaling.
+
+Gamma' and sigma are defined as alternating sums over the coarsenings
+R >= Q (Arthur's truncation).  Those coarsenings are exactly the subsets
+of Q's c flag boundaries that R keeps, with Q's root at each boundary R
+drops and the coweight at each boundary R keeps, so the 2^c-term sum
+factors into a product over the boundaries j of Q (of P2 for sigma):
+
+    Gamma'_Q(H, X) = prod_j ([w_j(H - X) > 0] - [a_j(H) > 0]),
+    sigma_P1^P2(H) = tau_P1^P2(H) prod_j ([w_j(H) > 0] - [a1_j(H) > 0]),
+
+with w_j the coweight and a_j Q's root at boundary j (a1_j: P1's root
+there), read from `parabolics.boundary_table`.
+
+The verify_* sweeps check each identity by exact integer comparison at
+generic rational points (no pairing exactly zero), resampling degenerate
+draws.  Identity sweeps are
 embarrassingly parallel over sample points; the report merge is a plain
 sum of per-sample counters.
 """
@@ -18,10 +32,9 @@ from itertools import combinations
 from operator import mul
 
 from .exact import QQ, Matrix
-from .parabolics import (block_indicator, contains, coweights, dot,
+from .parabolics import (block_indicator, boundary_table, contains, dot,
                          enumerate_rel_std, full_group, int_pair_data,
-                         int_scaled, parabolics_above, parabolics_between,
-                         simple_roots)
+                         int_scaled, parabolics_above, parabolics_between)
 
 
 def _int_point(H):
@@ -56,24 +69,23 @@ def _tau_bar(Q, h):
                    for a in int_pair_data(Q, full_group(Q.n))[0]))
 
 
+def _boundary_product(P, Q, h, hw):
+    """Product over the boundaries of Q of [w(hw) > 0] - [a(h) > 0], with a
+    P's root and w the coweight at that boundary (`boundary_table`)."""
+    out = 1
+    for a, w in zip(*boundary_table(P, Q)[2:]):
+        out *= (sum(map(mul, w, hw)) > 0) - (sum(map(mul, a, h)) > 0)
+        if not out:
+            break
+    return out
+
+
 def _sigma(P1, P2, h):
-    G = full_group(P1.n)
-    total = 0
-    for Q in parabolics_above(P2):
-        if _tau(P1, Q, h):
-            sign = -1 if (P2.num_blocks - Q.num_blocks) % 2 else 1
-            total += sign * _tau_hat(Q, G, h)
-    return total
+    return _tau(P1, P2, h) and _boundary_product(P1, P2, h, h)
 
 
 def _gamma_prime(Q, h, hx):
-    G = full_group(Q.n)
-    total = 0
-    for R in parabolics_above(Q):
-        if _tau(Q, R, h):
-            sign = -1 if (Q.num_blocks - R.num_blocks) % 2 else 1
-            total += sign * _tau_hat(R, G, hx)
-    return total
+    return _boundary_product(Q, Q, h, hx)
 
 
 def tau(P, Q, H):
@@ -96,16 +108,25 @@ def tau_bar(Q, H):
 
 
 def sigma(P1, P2, H):
-    "Signed sum over Q >= P2 of (-1)^(d_{P2} - d_Q) tau(P1,Q,H) tau_hat(Q,G,H)."
+    """sigma_{P1}^{P2}(H), defined as the signed sum over Q >= P2 of
+    (-1)^(d_{P2} - d_Q) tau(P1,Q,H) tau_hat(Q,G,H).  Computed as the product
+    tau(P1,P2,H) * prod_j ([w_j(H) > 0] - [alpha_j(H) > 0]) over the
+    boundaries j of P2, with alpha_j P1's root and w_j the coweight there:
+    the coarsenings Q of P2 are the subsets of its boundaries that Q keeps."""
     if not contains(P2, P1):
         raise ValueError("pair is not nested")
     return _sigma(P1, P2, _int_point(H))
 
 
 def gamma_prime(Q, H, X):
-    """Sum over R >= Q of (-1)^(d_Q - d_R) tau_hat(R,G,H-X) tau(Q,R,H);
-    the projections onto a_R are implicit in the pairings (every functional
-    vector already lies in the relevant subspace)."""
+    """Gamma'_Q(H, X), defined as the sum over R >= Q of
+    (-1)^(d_Q - d_R) tau(Q,R,H) tau_hat(R,G,H-X).  Computed as the product
+    prod_j ([w_j(H - X) > 0] - [alpha_j(H) > 0]) over the boundaries j of
+    Q, with alpha_j and w_j Q's root and coweight there: R drops the
+    boundaries whose root enters tau(Q,R,.) and keeps those whose coweight
+    enters tau_hat(R,G,.).  The projections onto a_R are implicit in the
+    pairings (every functional vector already lies in the relevant
+    subspace)."""
     HX = [Fraction(h) - Fraction(x) for h, x in zip(H, X)]
     return _gamma_prime(Q, _int_point(H), int_scaled(HX))
 
@@ -116,17 +137,14 @@ def gamma_prime(Q, H, X):
 
 def _gamma_walls(Q, X):
     """Affine walls (vector, offset) with wall = {H : <vector,H> = offset}
-    across which gamma_prime(Q, ., X) can jump, each distinct wall once in
-    first-seen order.  The terms R >= Q share their walls: a corank-c
-    parabolic lists c * 2^c of them, of which 2c are distinct."""
-    G = full_group(Q.n)
-    walls = {}
-    for R in parabolics_above(Q):
-        for a in simple_roots(Q, R):
-            walls.setdefault((tuple(a), Fraction(0)))
-        for w in coweights(R, G):
-            walls.setdefault((tuple(w), dot(w, X)))
-    return list(walls)
+    across which gamma_prime(Q, ., X) can jump: Q's c roots through 0, then
+    the c coweights shifted by X, boundary by boundary, so walls j and
+    c + j belong to boundary j.  Every term R >= Q of the alternating sum
+    draws its walls from these 2c, which are distinct unless X lies on a
+    wall (a coweight can equal a root, with two blocks of two)."""
+    roots, cws = boundary_table(Q, Q)[:2]
+    return ([(a, Fraction(0)) for a in roots]
+            + [(w, dot(w, X)) for w in cws])
 
 
 def support_box(Q, X, basis):
@@ -262,8 +280,8 @@ def verify_gamma_recurrence(n, sample_count, seed):
                          for Q in above) and \
                      all(_nonzero(int_pair_data(P, Q)[1], H)
                          for Q in above) and \
-                     all(_nonzero(int_pair_data(Q, R)[0], H)
-                         for Q in above for R in parabolics_above(Q))
+                     all(_nonzero(int_pair_data(Q, G)[0], H)
+                         for Q in above)
                 if ok:
                     break
                 degenerate += 1

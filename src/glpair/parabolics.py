@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 
 from .exact import QQ, Matrix, Polynomial
@@ -272,37 +273,31 @@ def jacobian_sq(Q):
     return num / den
 
 
+def _two_rho(blks, n):
+    """On block j of the ordered block list, the coefficient (total size of
+    later blocks) - (total size of earlier blocks); zero off the blocks."""
+    sizes = [len(b) for b in blks]
+    total = sum(sizes)
+    out = [Fraction(0)] * (n + 1)
+    before = 0
+    for size, blk in zip(sizes, blks):
+        for i in blk:
+            out[i] = Fraction(total - 2 * before - size)
+        before += size
+    return tuple(out)
+
+
 def two_rho_ambient(Q):
     """2 * (half-sum of roots in the unipotent radical of Q inside GL(n+1)),
     as a coordinate functional: on block j the coefficient is
     (total size of later blocks) - (total size of earlier blocks)."""
-    blks = Q.blocks()
-    sizes = [len(b) for b in blks]
-    total = sum(sizes)
-    out = [Fraction(0)] * (Q.n + 1)
-    before = 0
-    for j, blk in enumerate(blks):
-        after = total - before - sizes[j]
-        for i in blk:
-            out[i] = Fraction(after - before)
-        before += sizes[j]
-    return tuple(out)
+    return _two_rho(Q.blocks(), Q.n)
 
 
 def two_rho_intersected(Q):
     """Same half-sum functional for the intersection Q cap GL(n): coordinate
     0 is dropped from every block (so block k may be empty)."""
-    blks = [tuple(i for i in b if i != 0) for b in Q.blocks()]
-    sizes = [len(b) for b in blks]
-    total = sum(sizes)
-    out = [Fraction(0)] * (Q.n + 1)
-    before = 0
-    for j, blk in enumerate(blks):
-        after = total - before - sizes[j]
-        for i in blk:
-            out[i] = Fraction(after - before)
-        before += sizes[j]
-    return tuple(out)
+    return _two_rho([tuple(i for i in b if i != 0) for b in Q.blocks()], Q.n)
 
 
 def det_weight(n):
@@ -323,13 +318,13 @@ def det_center_weight(Q):
 def _pair_data(P, Q):
     """Root/coweight data for a nested pair P <= Q.
 
-    Returns (roots, coroots, coweights):
+    Returns (roots, coweights):
       roots     - functionals alpha_j(H) = avg(block j) - avg(block j+1) for
                   each boundary between consecutive P-blocks lying in one
-                  Q-block, as coordinate vectors;
-      coroots   - projections of the corresponding simple coroots onto the
-                  orthogonal complement of a_Q inside a_P;
-      coweights - the basis of that complement dual to the coroots.
+                  Q-block, as coordinate vectors; each is supported in one
+                  Q-block with zero coordinate sum, so it is its own coroot
+                  projection onto the orthogonal complement of a_Q in a_P;
+      coweights - the basis of that complement dual to the roots.
     """
     if not contains(Q, P):
         raise ValueError("pair is not nested")
@@ -340,34 +335,27 @@ def _pair_data(P, Q):
         for i in blk:
             owner[i] = qj
     roots = []
-    coroots = []
     n = P.n
     for j in range(len(pb) - 1):
         if owner[pb[j][0]] != owner[pb[j + 1][0]]:
             continue
         a = scale_vec(Fraction(1, len(pb[j])), block_indicator(pb[j], n))
         b = scale_vec(Fraction(1, len(pb[j + 1])), block_indicator(pb[j + 1], n))
-        alpha = tuple(x - y for x, y in zip(a, b))
-        roots.append(alpha)
-        coroots.append(alpha)  # already orthogonal to a_Q: supported in one
-        #                        Q-block with zero coordinate sum
-    if not coroots:
-        return (), (), ()
-    C = Matrix.from_columns(QQ, [list(c) for c in coroots])
-    G = Matrix(QQ, [[dot(u, v) for v in coroots] for u in coroots])
+        roots.append(tuple(x - y for x, y in zip(a, b)))
+    if not roots:
+        return (), ()
+    C = Matrix.from_columns(QQ, [list(a) for a in roots])
+    G = Matrix(QQ, [[dot(u, v) for v in roots] for u in roots])
     W = C * G.inverse()
-    coweights = tuple(W.column(j) for j in range(len(coroots)))
-    return tuple(roots), tuple(coroots), coweights
+    coweights = tuple(W.column(j) for j in range(len(roots)))
+    return tuple(roots), coweights
 
 
 def simple_roots(P, Q):
     return _pair_data(P, Q)[0]
 
-def coroot_projections(P, Q):
-    return _pair_data(P, Q)[1]
-
 def coweights(P, Q):
-    return _pair_data(P, Q)[2]
+    return _pair_data(P, Q)[1]
 
 
 @lru_cache(maxsize=None)
@@ -392,9 +380,30 @@ def int_scaled(v, m=None):
 def int_pair_data(P, Q):
     """(roots, coweights) of the nested pair P <= Q as in `_pair_data`, each
     vector scaled by the lcm of its denominators to integer coordinates."""
-    roots, _, cws = _pair_data(P, Q)
-    return (tuple(int_scaled(a) for a in roots),
-            tuple(int_scaled(w) for w in cws))
+    return tuple(tuple(int_scaled(v) for v in vecs)
+                 for vecs in _pair_data(P, Q))
+
+
+@lru_cache(maxsize=None)
+def boundary_table(P, Q):
+    """For the nested pair P <= Q, at each boundary between consecutive
+    blocks of Q, in order: P's simple root there and the coweight of that
+    boundary, as (roots, coweights, int_roots, int_coweights), the last
+    two scaled as in `int_pair_data`.
+
+    The coarsenings R >= Q are exactly the subsets of Q's boundaries that
+    R keeps: the roots of Q in R are Q's roots at the boundaries R drops,
+    and the coweights of R in G are the coweights at the boundaries R
+    keeps.  A boundary's coweight is the same vector for every parabolic
+    having that boundary, so it is read off P's."""
+    if not contains(Q, P):
+        raise ValueError("pair is not nested")
+    G = full_group(P.n)
+    cuts = set(accumulate(len(b) for b in Q.blocks()))
+    keep = [j for j, size in enumerate(accumulate(
+        len(b) for b in P.blocks()[:-1])) if size in cuts]
+    return tuple(tuple(vecs[j] for j in keep)
+                 for vecs in _pair_data(P, G) + int_pair_data(P, G))
 
 
 def restriction_check(Q, R):

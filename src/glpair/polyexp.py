@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from .cones import _gamma_walls, gamma_prime, support_box
-from .parabolics import (delta_hat, det_weight, dot, full_group, gram_det,
-                         jacobian_sq, parabolics_above, rho_Q_s, simple_roots,
-                         coweights, st_basis, theta_hat, two_rho_ambient,
+from .cones import _gamma_walls
+from .parabolics import (delta_hat, det_weight, dot, gram_det, jacobian_sq,
+                         rho_Q_s, st_basis, theta_hat, two_rho_ambient,
                          two_rho_intersected)
 
 
@@ -213,35 +213,19 @@ def constant_term_candidates(Q, s):
 # quadrature over the standard coordinates
 
 
-def _gamma_in_t(Q, X, basis):
-    """Float affine data for gamma_prime(Q, ., X) restricted to the span of
-    `basis`: per coarsening R, its sign, root functionals and shifted
-    coweight functionals, all in t-coordinates.  Sign tests away from the
-    walls are exact in spirit: the integrator only evaluates at points
-    separated from every wall by the piece construction."""
-    G = full_group(Q.n)
-    data = []
-    for R in parabolics_above(Q):
-        sign = -1 if (Q.num_blocks - R.num_blocks) % 2 else 1
-        roots = [tuple(float(dot(a, b)) for b in basis)
-                 for a in simple_roots(Q, R)]
-        cows = [(tuple(float(dot(w, b)) for b in basis), float(dot(w, X)))
-                for w in coweights(R, G)]
-        data.append((sign, roots, cows))
-    return data
-
-
-def _gamma_eval_t(data, t):
-    total = 0
-    for sign, roots, cows in data:
-        ok = all(sum(c * x for c, x in zip(vec, t)) > 0 for vec in roots)
-        if not ok:
-            continue
-        ok = all(sum(c * x for c, x in zip(vec, t)) > off
-                 for vec, off in cows)
-        if ok:
-            total += sign
-    return total
+def _gamma_eval_t(walls, t):
+    """gamma_prime(Q, ., X) at the t-coordinates t, as the product over Q's
+    boundaries on the float walls of `cones._gamma_walls` (wall j is the
+    root and wall c + j the shifted coweight of boundary j).  Sign tests
+    away from the walls are exact in spirit: the integrator only evaluates
+    at points separated from every wall by the piece construction."""
+    c = len(walls) // 2
+    out = 1
+    for (a, _), (w, off) in zip(walls[:c], walls[c:]):
+        out *= (sum(map(mul, w, t)) > off) - (sum(map(mul, a, t)) > 0)
+        if not out:
+            break
+    return out
 
 
 _GL_NODES = [(-0.9894009349916499, 0.027152459411754094),
@@ -268,24 +252,18 @@ def _panels(lo, hi, rate):
     return [(0.5 * (u + v), 0.5 * (v - u)) for u, v in zip(edges, edges[1:])]
 
 
-def _line_integral(data, walls, fixed, axis_lo, axis_hi, a_last):
+def _line_integral(walls, fixed, a_last):
     """Integral over the last coordinate along the line through `fixed`:
     split at the wall crossings, then 16-point Gauss-Legendre per panel
-    (the integrand is a constant times e^{a t} on each piece)."""
-    cuts = {axis_lo, axis_hi}
-    for vec, off in walls:
-        c = vec[-1]
-        if abs(c) < 1e-14:
-            continue
-        t = (off - sum(v * x for v, x in zip(vec[:-1], fixed))) / c
-        if axis_lo < t < axis_hi:
-            cuts.add(t)
-    cuts = sorted(cuts)
+    (the integrand is a constant times e^{a t} on each piece).  Before the
+    first crossing and after the last the line runs in unbounded cells,
+    where gamma' vanishes."""
+    cuts = _slice_cuts(walls, fixed)
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo < 1e-15:
             continue
-        g = _gamma_eval_t(data, fixed + (0.5 * (lo + hi),))
+        g = _gamma_eval_t(walls, fixed + (0.5 * (lo + hi),))
         if g == 0:
             continue
         for mid, half in _panels(lo, hi, abs(a_last)):
@@ -305,12 +283,12 @@ def _det(rows):
                for j, c in enumerate(rows[0]))
 
 
-def _slice_cuts(walls, fixed, lo, hi):
-    """Sorted t_k-coordinates, inside (lo, hi), of the vertices of the wall
-    arrangement restricted to the slice where the leading coordinates equal
-    `fixed` (k = len(fixed)).  Between two of them the integral over the
-    remaining coordinates is smooth in t_k, and the support of the slice
-    lies between the first and the last."""
+def _slice_cuts(walls, fixed):
+    """Sorted t_k-coordinates of the vertices of the wall arrangement
+    restricted to the slice where the leading coordinates equal `fixed`
+    (k = len(fixed)).  Between two of them the integral over the remaining
+    coordinates is smooth in t_k, and the support of the slice lies
+    between the first and the last."""
     k = len(fixed)
     rows = [(vec[k:], off - sum(v * x for v, x in zip(vec, fixed)))
             for vec, off in walls]
@@ -320,9 +298,7 @@ def _slice_cuts(walls, fixed, lo, hi):
         det = _det(A)
         if abs(det) <= 1e-12 * math.prod(math.hypot(*vec) for vec in A):
             continue
-        t = _det([(b,) + vec[1:] for vec, b in sel]) / det
-        if lo < t < hi:
-            cuts.add(t)
+        cuts.add(_det([(b,) + vec[1:] for vec, b in sel]) / det)
     return sorted(cuts)
 
 
@@ -343,16 +319,15 @@ def _slice_rate(walls, a, k):
     return rate
 
 
-def _slice_integral(data, walls, box, a, rates, fixed):
+def _slice_integral(walls, a, rates, fixed):
     """Integral of e^{a.t} gamma'(t) over the coordinates after `fixed`.
     The innermost coordinate is `_line_integral`; every outer one is cut
     at the vertex coordinates of its slice, with the 16-point
     Gauss-Legendre rule on each panel of each piece."""
     k = len(fixed)
-    if k == len(box) - 1:
-        return _line_integral(data, walls, fixed, box[k][0], box[k][1],
-                              a[k])
-    cuts = _slice_cuts(walls, fixed, *box[k])
+    if k == len(a) - 1:
+        return _line_integral(walls, fixed, a[k])
+    cuts = _slice_cuts(walls, fixed)
     total = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         for mid, half in _panels(lo, hi, rates[k]):
@@ -360,7 +335,7 @@ def _slice_integral(data, walls, box, a, rates, fixed):
             for x, w in _GL_NODES:
                 t = mid + half * x
                 acc += w * math.exp(a[k] * t) * _slice_integral(
-                    data, walls, box, a, rates, fixed + (t,))
+                    walls, a, rates, fixed + (t,))
             total += half * acc
     return total
 
@@ -387,12 +362,10 @@ def p_quadrature(Q, s, X):
     a = [sf * float(dot(det, b)) + float(dot(r2t, b)) - float(dot(r2g, b))
          for b in basis]
     measure = math.sqrt(float(gram_det(list(basis))))
-    box = [(float(lo), float(hi)) for lo, hi in support_box(Q, X, basis)]
-    data = _gamma_in_t(Q, X, basis)
     walls = [(tuple(float(dot(w, b)) for b in basis), float(off))
              for w, off in _gamma_walls(Q, X)]
     rates = [_slice_rate(walls, a, k) for k in range(d - 1)]
-    return measure * _slice_integral(data, walls, box, a, rates, ())
+    return measure * _slice_integral(walls, a, rates, ())
 
 
 def shanks_constant(p1, p2, p3):

@@ -82,35 +82,20 @@ def _ordered_set_partitions(items):
 
 
 def mu(J, I0):
-    """Signed count of parabolics containing the block Levi of I0 whose
-    stable pair-space is labelled by J: parabolics are ordered set
-    partitions of the blocks {F_i : i in I0} plus the complementary block R
-    (the one containing the distinguished line); the label collects +i for
-    blocks before R's part and -i for blocks after it; the sign is
-    (-1)^(number of parts - 1).  Equals (-1)^#J."""
+    """Signed count of the parabolics of `mu_by_corank`, with sign
+    (-1)^(number of parts - 1) = (-1)^(corank).  Equals (-1)^#J."""
     if not is_eps_subset(J, I0):
         raise ValueError("J is not an eps-subset of I0")
-    J = frozenset(J)
-    blocks = list(sorted(I0)) + ["R"]
-    total = 0
-    for part in _ordered_set_partitions(blocks):
-        r_at = next(j for j, blk in enumerate(part) if "R" in blk)
-        label = set()
-        for j, blk in enumerate(part):
-            for i in blk:
-                if i == "R":
-                    continue
-                if j < r_at:
-                    label.add(i)
-                elif j > r_at:
-                    label.add(-i)
-        if frozenset(label) == J:
-            total += -1 if (len(part) - 1) % 2 else 1
-    return total
+    return sum((-1) ** k * count for k, count in mu_by_corank(J, I0).items())
 
 
 def mu_by_corank(J, I0):
-    "Breakdown of the mu count by number of proper flag steps (for checks)."
+    """The parabolics containing the block Levi of I0 whose stable
+    pair-space is labelled by J, counted by number of proper flag steps.
+    Parabolics are ordered set partitions of the blocks {F_i : i in I0}
+    plus the complementary block R (the one containing the distinguished
+    line); the label collects +i for blocks before R's part and -i for
+    blocks after it."""
     J = frozenset(J)
     blocks = list(sorted(I0)) + ["R"]
     out = Counter()

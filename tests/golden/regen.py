@@ -33,7 +33,16 @@ CONFIGS = (
     + [["verify", "cones", "--n", "2", "--samples", "10", "--seed", str(s)]
        for s in (0, 1, 2)]
     + [["verify", "cones", "--n", "3", "--samples", "4", "--seed", "1"],
-       ["verify", "cones", "--n", "4", "--samples", "2", "--seed", "1"]])
+       ["verify", "cones", "--n", "4", "--samples", "2", "--seed", "1"]]
+    + [["pexp", "--n", "1", "--parabolic", "1", "--s=1/2", "--X=2,-3"],
+       ["pexp", "--n", "2", "--parabolic", "7", "--s=-1", "--X=1,2,3"],
+       ["pexp", "--n", "2", "--parabolic", "5", "--s=1", "--X=3,-1,2"],
+       ["pexp", "--n", "3", "--parabolic", "11", "--s=-1/3", "--X=1,0,1,4"],
+       ["pexp", "--n", "3", "--parabolic", "16", "--s=-1/3",
+        "--X=0,-2,3,-1"]]
+    + [["verify", "all", "--n", "2"],
+       ["verify", "rrss", "--I0", "2"],
+       ["verify", "rrss", "--I0", "3", "--eta", "1"]])
 
 
 def report_sha(argv, workdir):

@@ -185,6 +185,42 @@ def test_integer_kernel_matches_fraction_signs():
     assert on_wall > 100
 
 
+def test_gamma_prime_and_sigma_equal_their_alternating_sums():
+    """The boundary products equal the definitions, for every Q and every
+    nested P1 <= P2 at n <= 4: gamma_prime(Q, H, X) is the sum over R >= Q
+    of (-1)^(d_Q - d_R) tau(Q,R,H) tau_hat(R,G,H-X), and sigma(P1, P2, H)
+    the sum over Q >= P2 of (-1)^(d_P2 - d_Q) tau(P1,Q,H) tau_hat(Q,G,H).
+    Points are seeded rationals and points on every root and coweight
+    wall, for H and (through X) for H - X."""
+    rng = random.Random(21)
+    on_wall = 0
+    for n in (1, 2, 3, 4):
+        G = full_group(n)
+        for Q in enumerate_rel_std(n):
+            pts = _rational_points(n, simple_roots(Q, G)
+                                   + coweights(Q, G), rng)
+            for H in pts:
+                for HX in pts:
+                    X = tuple(h - y for h, y in zip(H, HX))
+                    expect = sum(
+                        (-1) ** (Q.num_blocks - R.num_blocks)
+                        * tau(Q, R, H) * tau_hat(R, G, HX)
+                        for R in parabolics_above(Q))
+                    assert gamma_prime(Q, H, X) == expect
+        for P1 in enumerate_rel_std(n):
+            vecs = simple_roots(P1, G) + coweights(P1, G)
+            pts = _rational_points(n, vecs, rng)
+            on_wall += sum(dot(v, H) == 0 for v in vecs for H in pts)
+            for P2 in parabolics_above(P1):
+                for H in pts:
+                    expect = sum(
+                        (-1) ** (P2.num_blocks - Q.num_blocks)
+                        * tau(P1, Q, H) * tau_hat(Q, G, H)
+                        for Q in parabolics_above(P2))
+                    assert sigma(P1, P2, H) == expect
+    assert on_wall > 100
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sweeps_refuse_an_empty_sample(samples):
     "A sweep over no sample checked nothing and passed with cases = 0."

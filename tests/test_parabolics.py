@@ -5,10 +5,9 @@ import pytest
 
 from glpair import parabolics
 from glpair.parabolics import (AffineWeight, RelStdParabolic, block_indicator,
-                               center, contains,
-                               coroot_projections, coweights, delta_hat,
-                               det_center_weight, det_weight, dot,
-                               enumerate_rel_std, full_group,
+                               boundary_table, center, contains, coweights,
+                               delta_hat, det_center_weight, det_weight, dot,
+                               enumerate_rel_std, full_group, int_scaled,
                                jacobian_sq, parabolics_above, rho_Q_s,
                                restriction_check, s_sub, simple_roots,
                                st_basis, theta_hat, two_rho_ambient,
@@ -114,12 +113,50 @@ def test_root_coweight_duality():
             for i, a in enumerate(roots):
                 for j, w in enumerate(covs):
                     assert dot(a, w) == (1 if i == j else 0)
-            for i, a in enumerate(coroot_projections(Q, G)):
+            for a in roots:
                 _, paper_covs = delta_hat(Q)
                 # paper covectors are the same dual family, so pairings with
-                # the coroots form a permutation of the identity
+                # the roots (their own coroots) form a permutation of the
+                # identity
                 row = [dot(pc, a) for pc in paper_covs]
                 assert sorted(row) == [0] * (len(row) - 1) + [1]
+
+
+def test_coarsenings_are_the_subsets_of_boundaries():
+    """The R >= Q are the 2^corank subsets of Q's boundaries that R keeps:
+    the roots of Q in R are Q's roots at the boundaries R drops, and the
+    coweights of R in G are the coweights at those it keeps (all 1457
+    nested pairs at n <= 5).  For P <= Q, boundary_table(P, Q) holds P's
+    roots at Q's boundaries and Q's coweights."""
+    pairs = 0
+    for n in range(1, 6):
+        G = full_group(n)
+        for Q in enumerate_rel_std(n):
+            roots, cws, iroots, icws = boundary_table(Q, Q)
+            assert (roots, cws) == (simple_roots(Q, G), coweights(Q, G))
+            assert iroots == tuple(int_scaled(a) for a in roots)
+            assert icws == tuple(int_scaled(w) for w in cws)
+            above = parabolics_above(Q)
+            assert len(above) == 2 ** Q.corank
+            dropped_sets = set()
+            for R in above:
+                pairs += 1
+                dropped = {j for j, a in enumerate(roots)
+                           if a in simple_roots(Q, R)}
+                dropped_sets.add(frozenset(dropped))
+                assert sorted(simple_roots(Q, R)) == sorted(
+                    roots[j] for j in dropped)
+                assert sorted(coweights(R, G)) == sorted(
+                    cws[j] for j in range(Q.corank) if j not in dropped)
+            assert len(dropped_sets) == 2 ** Q.corank
+            for P in enumerate_rel_std(n):
+                if not contains(Q, P):
+                    continue
+                proots, pcws = boundary_table(P, Q)[:2]
+                assert pcws == cws and len(proots) == Q.corank
+                assert set(proots) <= set(simple_roots(P, G))
+                assert not set(proots) & set(simple_roots(P, Q))
+    assert pairs == 1457
 
 
 def test_s_sub_examples():
