@@ -17,8 +17,7 @@ from .parabolics import (AffineWeight, RelStdParabolic, contains, delta_hat,
 from .cones import (gamma_prime, sigma, tau, tau_bar, tau_hat,
                     verify_basic_identity, verify_gamma_recurrence,
                     verify_langlands, verify_sigma_decomposition)
-from .polyexp import PolyExp, SqrtVal, constant_term_candidates, p_quadrature, \
-    p_rank1
+from .polyexp import PolyExp, exponential_integral, p_quadrature, p_rank1
 from .rrss import (EtaleAlgebra, abs_set, enumerate_eps_subsets, indicator_1,
                    iota, lambda_bar_pole_set, lambda_bar_shell, mu,
                    ordered_partition_count, sharp, upeta_factor,

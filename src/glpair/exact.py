@@ -179,13 +179,18 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.rows))
 
+    def _same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        return zip(self.rows, other.rows)
+
     def __add__(self, other):
         return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+                                   for r1, r2 in self._same_shape(other)])
 
     def __sub__(self, other):
         return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.rows, other.rows)])
+                                   for r1, r2 in self._same_shape(other)])
 
     def __neg__(self):
         return Matrix(self.field, [[-a for a in row] for row in self.rows])

@@ -4,24 +4,26 @@ compactly supported cone combination over the standard part of a_Q.
 A polynomial-exponential on Q^d is a finite sum of e^{lambda(v)} P_lambda(v)
 with rational exponent covectors lambda and rational-coefficient
 polynomials P_lambda; the lambda = 0 polynomial is its purely polynomial
-part.  The exponential integral is evaluated two independent ways: a
-closed form on one-dimensional quotients, and Gauss-Legendre quadrature
-over the standard coordinates for corank up to three, split at the
-vertices of the cone combination's wall arrangement.
+part.  The exponential integral has one exact route,
+`exponential_integral`: a signed sum over the vertices of the cone
+combination's simplicial cone decomposition, which returns a PolyExp in X
+at every corank up to six.  Its independent oracle is `p_quadrature`,
+Gauss-Legendre quadrature over the standard coordinates for corank up to
+three, split at the vertices of the cone combination's wall arrangement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
 from .cones import _gamma_walls
-from .parabolics import (delta_hat, det_weight, dot, gram_det, jacobian_sq,
-                         rho_Q_s, st_basis, theta_hat, two_rho_ambient,
-                         two_rho_intersected)
+from .exact import QQ, Matrix
+from .parabolics import (boundary_table, det_weight, dot, gram_det,
+                         jacobian_sq, rho_Q_s, st_basis, theta_hat,
+                         two_rho_ambient, two_rho_intersected)
 
 
 class PolyExp:
@@ -125,88 +127,94 @@ class PolyExp:
                    for a, c in self.eval_split(v).items())
 
 
-@dataclass(frozen=True)
-class SqrtVal:
-    "rational * sqrt(radicand), with a fixed nonnegative rational radicand."
-    rational: Fraction
-    radicand: Fraction
-
-    def __float__(self):
-        return float(self.rational) * math.sqrt(float(self.radicand))
-
-    def scale(self, c):
-        return SqrtVal(self.rational * Fraction(c), self.radicand)
-
-    def square(self):
-        return self.rational ** 2 * self.radicand
-
-    def is_zero(self):
-        return self.rational == 0 or self.radicand == 0
+# A work bound: the vertex sum has 2^corank terms; six is the largest measured.
+MAX_CORANK = 6
 
 
-@dataclass(frozen=True)
-class Rank1Integral:
-    """The exponential integral over a one-dimensional standard part:
-    constant + exp_coeff * e^{exponent}; when the exponent functional
-    degenerates (s at the endpoints) the value is linear in the coweight
-    pairing of X and is stored in `constant` with degenerate = True."""
-    constant: SqrtVal
-    exp_coeff: SqrtVal
-    exponent: Fraction
-    degenerate: bool = False
-
-    def value(self):
-        if self.degenerate:
-            return float(self.constant)
-        return float(self.constant) + float(self.exp_coeff) * \
-            math.exp(float(self.exponent))
+def _perturbation(c):
+    "beta in a + eps beta: generic, so every c^S_i vanishing at eps = 0 moves."
+    return [Fraction(1, 7 + 3 * i) for i in range(c)]
 
 
-def _exponent_on_centered_line(Q, s):
-    "rho_{Q,s} paired with the single coweight covector, at rational s."
-    _, covs = delta_hat(Q)
-    (c0, c1) = rho_Q_s(Q).pair(covs[0])
-    return c0 + c1 * Fraction(s)
+def _times_linear(poly, form, scale):
+    "The polynomial poly(X) * form(X) * scale, form a covector on X."
+    out = {}
+    for mono, c in poly.items():
+        for x, w in enumerate(form):
+            if w:
+                key = mono[:x] + (mono[x] + 1,) + mono[x + 1:]
+                out[key] = out.get(key, 0) + c * w * scale
+    return out
+
+
+def exponential_integral(Q, s):
+    """The standard-part exponential integral
+    int e^{(s det + 2rho~ - 2rho)(H)} gamma'(H, X) dH = sqrt(gram) f(X), as
+    (f, gram): f a PolyExp in X, gram the standard basis's Gram determinant.
+
+    gamma' is the product over Q's c boundaries of
+    [varpi_j(H - X) > 0] - [alpha_j(H) > 0].  Its expansion is a signed sum
+    of 2^c cones {L_S t > b_S} in the standard coordinates t: row j of L_S
+    is varpi_j for j in S and alpha_j otherwise, b_S is varpi_j(X) on S and
+    0 off it.  With a the exponent and c^S = a L_S^-1, each cone integrates
+    to e^{sum_S c^S_j varpi_j(X)} / (|det L_S| prod_i (-c^S_i))
+    (Brion-Lawrence); a singular L_S bounds a region containing a line,
+    worth nothing.
+
+    Where some c^S_i vanish, a becomes a + eps beta for a fixed generic
+    beta.  A term with m vanishing c^S_i has a pole of order m in eps, so
+    its other factors and e^{eps beta.v_S} (v_S the apex) are kept up to
+    eps^m before its eps^0 coefficient is read off; the powers of
+    beta.v_S, linear in X, are the polynomial parts."""
+    c = Q.corank
+    if c > MAX_CORANK:
+        raise ValueError("exact route limited to corank %d" % MAX_CORANK)
+    s, dim, basis = Fraction(s), Q.n + 1, st_basis(Q)
+    roots, cws = boundary_table(Q, Q)[:2]
+    rows = [[[dot(v, b) for b in basis] for v in pair]
+            for pair in zip(roots, cws)]
+    det_w, r2t, r2g = det_weight(Q.n), two_rho_ambient(Q), \
+        two_rho_intersected(Q)
+    a_beta = Matrix(QQ, [[s * dot(det_w, b) + dot(r2t, b) - dot(r2g, b)
+                          for b in basis], _perturbation(c)])
+    terms = {}
+    for S in product((0, 1), repeat=c):
+        L = Matrix(QQ, [pair[k] for pair, k in zip(rows, S)])
+        det = L.det()
+        if det == 0:
+            continue
+        cvec, dvec = (a_beta * L.inverse()).rows
+        coeff = Fraction((-1) ** (c - sum(S))) / abs(det)
+        m = cvec.count(0)
+        series = [Fraction(1)] + [Fraction(0)] * m
+        for ci, di in zip(cvec, dvec):
+            # 1/(-ci - eps di): a simple pole where ci = 0, else a
+            # geometric series in eps, multiplied into `series`
+            coeff /= -di if ci == 0 else -ci
+            if ci != 0:
+                for k in range(1, m + 1):
+                    series[k] -= di / ci * series[k - 1]
+        on_S = [j for j in range(c) if S[j]]
+        lam, mu = (tuple(sum((x[j] * cws[j][i] for j in on_S), Fraction(0))
+                         for i in range(dim)) for x in (cvec, dvec))
+        poly = terms.setdefault(lam, {})
+        power = {(0,) * dim: coeff}
+        for k in range(m + 1):
+            if k:
+                power = _times_linear(power, mu, Fraction(1, k))
+            for mono, v in power.items():
+                poly[mono] = poly.get(mono, 0) + v * series[m - k]
+    return PolyExp(dim, terms), gram_det(list(basis))
 
 
 def p_rank1(Q, s, X):
-    """Closed form of the standard-part exponential integral for a corank
-    one parabolic: integrate e^{at} against the signed-interval cone
-    combination along the coweight line; the result is
-    (sqrt(v^2/j^2)/a) * (1 - e^{a x0}) with a the exponent pairing and
-    x0 the normalized coweight coordinate of X."""
+    """The integral at a corank-one Q, on the exact route.  Kept because
+    the benchmark's tracer wraps it by name, until ROADMAP item 5 drops
+    that row."""
     if Q.corank != 1:
         raise ValueError("closed form requires corank one")
-    s = Fraction(s)
-    weights, covs = delta_hat(Q)
-    w = covs[0]
-    vsq = gram_det(list(covs))
-    jsq = jacobian_sq(Q)
-    q = vsq / jsq
-    a = _exponent_on_centered_line(Q, s)
-    x0 = dot(weights[0], X) / dot(weights[0], w)
-    if a == 0:
-        return Rank1Integral(SqrtVal(-x0, q), SqrtVal(Fraction(0), q),
-                             Fraction(0), degenerate=True)
-    rho_at_X = rho_Q_s(Q)
-    expo = rho_at_X.pair(tuple(Fraction(x) for x in X))
-    expo_val = expo[0] + expo[1] * s
-    assert expo_val == a * x0, "exponent transport failed"
-    return Rank1Integral(SqrtVal(1 / a, q), SqrtVal(-1 / a, q), expo_val)
-
-
-def constant_term_candidates(Q, s):
-    """The two closed-form candidates for the purely polynomial term of the
-    standard-part integral: with and without the Jacobian factor, both as
-    exact square-root values (the leading sign is the quadrature's to
-    measure)."""
-    s = Fraction(s)
-    poly, vsq = theta_hat(Q, rho_Q_s(Q))
-    denom = poly(s)
-    if denom == 0:
-        raise ValueError("degenerate s")
-    return {"with_jacobian": SqrtVal(1 / denom, vsq / jacobian_sq(Q)),
-            "without_jacobian": SqrtVal(1 / denom, vsq)}
+    f, gram = exponential_integral(Q, s)
+    return math.sqrt(gram) * f.eval_float(X)
 
 
 # ---------------------------------------------------------------------------
@@ -368,37 +376,28 @@ def p_quadrature(Q, s, X):
     return measure * _slice_integral(walls, a, rates, ())
 
 
-def shanks_constant(p1, p2, p3):
-    """Shanks extrapolation of the sequence p(X), p(2X), p(3X): removes a
-    single dominant geometric mode and returns the limit estimate."""
-    denom = (p3 - p2) - (p2 - p1)
-    if abs(denom) < 1e-300:
-        return p3
-    return p3 - (p3 - p2) ** 2 / denom
-
-
-def measure_constant_term(Q, s, direction, tol=1e-9):
-    """Estimate the purely polynomial term of the standard-part integral by
-    evaluating at t*direction for t = 1, 2, 3 (direction chosen with every
-    nonzero exponent strictly negative) and extrapolating; report which
-    closed-form candidate (with or without the Jacobian factor) the
-    measurement selects and the winning sign.  `tol` is accepted and
-    unused: the vertex-split quadrature is a fixed rule, not an adaptive
-    one."""
-    vals = [p_quadrature(Q, s, tuple(Fraction(t) * Fraction(x)
-                                     for x in direction))
-            for t in (1, 2, 3)]
-    est = shanks_constant(*vals)
-    cands = constant_term_candidates(Q, s)
-    out = {"estimate": est, "values": vals}
-    best = None
-    for name, sv in cands.items():
-        mag = float(sv)
-        for sign in (1, -1):
-            err = abs(est - sign * mag) / max(abs(est), 1e-30)
-            if best is None or err < best[0]:
-                best = (err, name, sign, mag)
-    out.update({"relative_error": best[0], "selected": best[1],
-                "sign": best[2], "candidates": {k: float(v)
-                                                for k, v in cands.items()}})
-    return out
+def measure_constant_term(Q, s, direction=None, tol=None):
+    """Criterion 6: the purely polynomial part of the integral against
+    j^-1 theta-hat(rho_{Q,s})^-1 = sqrt(v^2 / j^2) / theta-poly(s).  Where
+    the part is that constant exactly (squares equal as rationals, same
+    sign), `selected` is "with_jacobian", `sign` is 1 and `relative_error`
+    is 0.0.  No quadrature runs.  `direction` and `tol` are unused; they
+    remain for callers of the former extrapolated measurement."""
+    s = Fraction(s)
+    f, gram = exponential_integral(Q, s)
+    poly, vsq = theta_hat(Q, rho_Q_s(Q))
+    denom = poly(s)
+    if denom == 0:
+        raise ValueError("degenerate s")
+    pure = f.pure_poly_part()
+    const = pure.get((0,) * f.dim, Fraction(0))
+    radicand = vsq / jacobian_sq(Q)
+    estimate = float(const) * math.sqrt(gram)
+    target = math.sqrt(radicand) / float(denom)
+    sign = 1 if const * denom > 0 else -1
+    exact = (len(pure) == 1 and sign == 1
+             and (const * denom) ** 2 * gram == radicand)
+    return {"estimate": estimate, "selected": "with_jacobian" if exact
+            else None, "sign": sign, "candidates": {"with_jacobian": target},
+            "relative_error": 0.0 if exact
+            else abs(estimate - target) / abs(target)}

@@ -39,7 +39,9 @@ CONFIGS = (
        ["pexp", "--n", "2", "--parabolic", "5", "--s=1", "--X=3,-1,2"],
        ["pexp", "--n", "3", "--parabolic", "11", "--s=-1/3", "--X=1,0,1,4"],
        ["pexp", "--n", "3", "--parabolic", "16", "--s=-1/3",
-        "--X=0,-2,3,-1"]]
+        "--X=0,-2,3,-1"],
+       ["pexp", "--n", "4", "--parabolic", "43", "--s=1/2",
+        "--X=1,-2,0,3,-1"]]
     + [["verify", "all", "--n", "2"],
        ["verify", "rrss", "--I0", "2"],
        ["verify", "rrss", "--I0", "3", "--eta", "1"]])

@@ -101,7 +101,7 @@ def test_pexp_answers_where_the_constant_term_has_a_pole(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["corank"] == 2 and math.isfinite(data["value"])
-    assert data["constant_term_candidates"] is None
+    assert data["quadrature_check"]["rel_error"] <= 1e-9
 
 
 def test_pexp_fails_when_its_quadrature_check_fails(capsys, monkeypatch):
@@ -124,6 +124,20 @@ def _one_line_error(*argv):
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
     return proc.stderr
+
+
+def test_pexp_refuses_past_corank_six_in_one_line():
+    "The exact route's work bound: corank 7 exits 2 instead of running."
+    err = _one_line_error("pexp", "--n", "7", "--parabolic", "568",
+                          "--s=1/2", "--X=1,2,3,4,5,6,7,8")
+    assert "corank" in err
+
+
+def test_pexp_overflow_is_input_error_in_one_line():
+    "This printed an OverflowError traceback and exited 1."
+    err = _one_line_error("pexp", "--n", "1", "--parabolic", "1",
+                          "--s=1/2", "--X=1000,-1000")
+    assert "overflow" in err
 
 
 @pytest.mark.parametrize("n, p", [(1, 4), (0, 3), (1, 1), (2, 9)])

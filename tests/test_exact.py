@@ -112,6 +112,17 @@ def test_gaussian_elimination_det_and_inverse():
         assert M.apply(M.solve(b)) == b
 
 
+def test_sum_and_difference_reject_mismatched_shapes():
+    "A 2x2 plus a 3x3 returned a 2x2: zip truncated the rows."
+    A = Matrix(QQ, [[1, 2], [3, 4]])
+    for B in (Matrix.identity(QQ, 3), Matrix(QQ, [[1, 2, 3], [4, 5, 6]])):
+        with pytest.raises(ValueError):
+            A + B
+        with pytest.raises(ValueError):
+            B - A
+    assert A + A == A.scale(2) and A - A == Matrix.zeros(QQ, 2, 2)
+
+
 def test_polynomial_euclid():
     t = Polynomial.x(QQ)
     f = (t - 1) * (t - 2) * (t - 2)

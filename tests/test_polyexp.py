@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 from glpair import polyexp
 from glpair.cones import _gamma_walls, gamma_prime, support_box
 from glpair.parabolics import (delta_hat, det_weight, dot, enumerate_rel_std,
-                               full_group, gram_det, parabolics_above,
-                               rho_Q_s, st_basis, two_rho_ambient,
+                               full_group, gram_det, jacobian_sq, rho_Q_s,
+                               st_basis, theta_hat, two_rho_ambient,
                                two_rho_intersected)
-from glpair.polyexp import (PolyExp, SqrtVal, constant_term_candidates,
-                            measure_constant_term, p_quadrature, p_rank1,
-                            shanks_constant)
+from glpair.polyexp import (PolyExp, exponential_integral,
+                            measure_constant_term, p_quadrature, p_rank1)
 
 
 def _rand_polyexp(rng, dim, nterms=3):
@@ -99,31 +98,42 @@ def _rank1_parabolics(ns):
                 yield n, Q
 
 
+def _zero(n):
+    return (F(0),) * (n + 1)
+
+
 def test_rank1_zero_region():
+    "At X = 0 the support of gamma' is null: the value is exactly zero."
     for n, Q in _rank1_parabolics((1, 2)):
-        r = p_rank1(Q, F(1, 2), (F(0),) * (n + 1))
-        assert abs(r.value()) < 1e-14
-        assert float(r.constant) + float(r.exp_coeff) == pytest.approx(0.0)
+        f, _ = exponential_integral(Q, F(1, 2))
+        assert f.eval_split(_zero(n)) == {}
+        assert p_rank1(Q, F(1, 2), _zero(n)) == 0.0
+
+
+def _rho_at(Q, s):
+    "The covector rho_{Q,s} at rational s."
+    rho = rho_Q_s(Q)
+    return tuple(c + m * s for c, m in zip(rho.const, rho.slope))
 
 
 def test_rank1_exponent_is_rho_of_X():
-    rng = random.Random(2)
+    "The two exponent classes at corank one are 0 and rho_{Q,s}."
     for n, Q in _rank1_parabolics((1, 2)):
-        for _ in range(5):
-            X = tuple(F(rng.randint(-5, 5)) for _ in range(n + 1))
-            r = p_rank1(Q, F(1, 3), X)
-            c0, c1 = rho_Q_s(Q).pair(X)
-            assert r.exponent == c0 + c1 * F(1, 3)
+        f, _ = exponential_integral(Q, F(1, 3))
+        assert f.exponents() == sorted([_zero(n), _rho_at(Q, F(1, 3))])
 
 
 def test_rank1_constant_term_closed_form():
-    "The constant equals sqrt(v^2/j^2) / theta-poly(s), to float precision."
+    "The constant is sqrt(v^2/j^2) / theta-poly(s) over sqrt(gram), exactly."
     for n, Q in _rank1_parabolics((1, 2)):
         for s in (F(0), F(1, 2), F(-1, 3)):
-            r = p_rank1(Q, s, (F(0),) * (n + 1))
-            cand = constant_term_candidates(Q, s)["with_jacobian"]
-            assert r.constant.square() == cand.square()
-            assert abs(float(r.constant) - float(cand)) < 1e-9
+            f, gram = exponential_integral(Q, s)
+            poly, vsq = theta_hat(Q, rho_Q_s(Q))
+            const = f.pure_poly_part()
+            assert list(const) == [(0,) * (n + 1)]
+            c = const[(0,) * (n + 1)]
+            assert c ** 2 * gram == vsq / jacobian_sq(Q) / poly(s) ** 2
+            assert c * poly(s) > 0
 
 
 def test_rank1_agrees_with_quadrature():
@@ -131,105 +141,116 @@ def test_rank1_agrees_with_quadrature():
     for n, Q in _rank1_parabolics((1, 2)):
         for s in (F(0), F(1, 2), F(-1, 3)):
             X = tuple(F(rng.randint(-5, 5)) for _ in range(n + 1))
-            exact = p_rank1(Q, s, X).value()
+            exact = p_rank1(Q, s, X)
             quad = p_quadrature(Q, s, X)
-            assert abs(exact - quad) <= 1e-6 * max(1e-6, abs(exact))
+            assert abs(exact - quad) <= 1e-12 * max(1e-6, abs(exact))
 
 
 def test_rank1_degenerate_s_is_linear():
-    "At the endpoint values of s the integral degenerates to a linear form."
+    """Where rho_{Q,s} vanishes (s at an endpoint) the integral is a single
+    polynomial class of degree one, linear along the coweight line."""
+    seen = 0
     for n, Q in _rank1_parabolics((1, 2)):
-        a1 = rho_Q_s(Q).pair(delta_hat(Q)[1][0])
         for s in (F(1), F(-1)):
-            if a1[0] + a1[1] * s != 0:
+            if any(_rho_at(Q, s)):
                 continue  # this endpoint is not degenerate for this Q
-            vals = []
+            seen += 1
+            f, _ = exponential_integral(Q, s)
+            assert f.exponents() == [_zero(n)]
+            assert max(map(sum, f.pure_poly_part())) == 1
             weights, _ = delta_hat(Q)
-            for t in (1, 2, 3):
-                X = tuple(F(t) * x for x in weights[0])
-                r = p_rank1(Q, s, X)
-                assert r.degenerate
-                vals.append(r.value())
-            # equally spaced X along the coweight line: values are linear
+            vals = [p_rank1(Q, s, tuple(F(t) * x for x in weights[0]))
+                    for t in (1, 2, 3)]
             assert vals[2] - vals[1] == pytest.approx(vals[1] - vals[0])
+    assert seen
 
 
 def test_full_group_convention():
     G = full_group(2)
     assert p_quadrature(G, F(1, 2), (F(1), F(2), F(3))) == 1.0
+    assert exponential_integral(G, F(1, 2)) == (PolyExp.constant(3, 1), 1)
     with pytest.raises(ValueError):
         p_rank1(G, F(1, 2), (F(0), F(0), F(0)))
-
-
-def test_shanks_kills_single_mode():
-    c, amp, lam = 2.5, -0.7, 0.3
-    p1, p2, p3 = (c + amp * lam ** t for t in (1, 2, 3))
-    assert shanks_constant(p1, p2, p3) == pytest.approx(c, abs=1e-12)
-
-
-def _deep_negative_direction(Q, s):
-    _, covs = delta_hat(Q)
-    direction = tuple(-4 * sum(col) for col in zip(*covs))
-    for R in parabolics_above(Q):
-        if R.is_full_group():
-            continue
-        c0, c1 = rho_Q_s(R).pair(direction)
-        if not c0 + c1 * s < 0:
-            return None
-    return direction
 
 
 def test_rank2_constant_term_measurement():
     for Q in enumerate_rel_std(2):
         if Q.corank != 2:
             continue
-        s = F(1, 2)
-        direction = _deep_negative_direction(Q, s)
-        assert direction is not None
-        rep = measure_constant_term(Q, s, direction, tol=1e-9)
-        assert rep["relative_error"] < 1e-4
+        rep = measure_constant_term(Q, F(1, 2))
+        assert rep["relative_error"] == 0.0
         assert rep["selected"] == "with_jacobian"
         assert rep["sign"] == 1
 
 
-def test_sqrtval():
-    v = SqrtVal(F(3, 2), F(2))
-    assert float(v) == pytest.approx(1.5 * math.sqrt(2))
-    assert v.square() == F(9, 2)
-    assert v.scale(2).rational == 3
-
-
 def test_rank1_integral_is_a_polyexp_in_X():
-    """Normalized by its common radical, the corank-one integral is a
-    two-term polynomial-exponential in X with exponent rho_{Q,s}; its
-    PolyExp form evaluates to the quadrature value at arbitrary points."""
+    """At corank one the integral is sqrt(gram) times a constant plus a
+    constant times e^{rho_{Q,s}(X)}; it matches the quadrature at
+    arbitrary points."""
     rng = random.Random(7)
     for n, Q in _rank1_parabolics((1, 2)):
         s = F(1, 2)
-        probe = tuple(F(1 + i) for i in range(n + 1))
-        r0 = p_rank1(Q, s, probe)
-        radical = r0.constant.radicand
-        rho = rho_Q_s(Q)
-        lam = tuple(c + m * s for c, m in zip(rho.const, rho.slope))
-        f = PolyExp(n + 1, {
-            (F(0),) * (n + 1): {(0,) * (n + 1): r0.constant.rational},
-            lam: {(0,) * (n + 1): r0.exp_coeff.rational}})
-        scale = math.sqrt(float(radical))
+        f, gram = exponential_integral(Q, s)
+        assert all(list(p) == [(0,) * (n + 1)] for p in f.terms.values())
         for _ in range(4):
             X = tuple(F(rng.randint(-4, 4)) for _ in range(n + 1))
-            value = scale * f.eval_float(X)
-            assert value == pytest.approx(p_rank1(Q, s, X).value(), abs=1e-10)
-            assert value == pytest.approx(p_quadrature(Q, s, X), rel=1e-6,
-                                          abs=1e-9)
+            value = math.sqrt(gram) * f.eval_float(X)
+            assert value == pytest.approx(p_quadrature(Q, s, X), rel=1e-12,
+                                          abs=1e-12)
+
+
+# -- the exact route ----------------------------------------------------------
+
+def _exact_value(Q, s, X):
+    f, gram = exponential_integral(Q, s)
+    return math.sqrt(gram) * f.eval_float(X)
+
+
+def test_exact_route_is_independent_of_the_perturbation(monkeypatch):
+    """The eps^0 coefficient does not depend on the direction beta of the
+    perturbation: a second beta gives the identical PolyExp for every Q at
+    n <= 4, at s where exponent pairings vanish (0, +-1) and where none
+    needs to."""
+    base = {(Q, s): exponential_integral(Q, s)
+            for n in (1, 2, 3, 4) for Q in enumerate_rel_std(n)
+            for s in (F(0), F(1), F(-1), F(1, 2), F(-1, 3))}
+    monkeypatch.setattr(polyexp, "_perturbation",
+                        lambda c: [F(2 + i, 5 + 11 * i) for i in range(c)])
+    for (Q, s), value in base.items():
+        assert exponential_integral(Q, s) == value, (Q, s)
+
+
+def test_exact_route_matches_the_quadrature():
+    """Seeded draws at n <= 4 and coranks 1 to 3, s = +-1 included, X with
+    denominators up to 3: relative agreement to 1e-12."""
+    rng = random.Random(11)
+    draws = 0
+    for n in (1, 2, 3, 4):
+        Qs = [Q for Q in enumerate_rel_std(n) if 1 <= Q.corank <= 3]
+        for Q in rng.sample(Qs, min(len(Qs), 6)):
+            for s in (F(1), F(-1), rng.choice((F(0), F(1, 2), F(-1, 3)))):
+                X = tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(n + 1))
+                exact = _exact_value(Q, s, X)
+                assert abs(exact - p_quadrature(Q, s, X)) \
+                    <= 1e-12 * abs(exact), (Q, s, X)
+                draws += 1
+    assert draws == 60
+
+
+def test_corank5_value_is_finite():
+    Q = next(Q for Q in enumerate_rel_std(5) if Q.corank == 5)
+    value = _exact_value(Q, F(1, 2), (F(1), F(-2), F(0), F(3), F(-1), F(2)))
+    assert math.isfinite(value) and value != 0
+
+
+def test_exact_route_refuses_past_its_work_bound():
+    Q = next(Q for Q in enumerate_rel_std(7) if Q.corank == 7)
+    with pytest.raises(ValueError):
+        exponential_integral(Q, F(1, 2))
 
 
 # -- the vertex-split quadrature ----------------------------------------------
-
-def _coweight_direction(Q):
-    "-4 times the sum of the coweight covectors of Q."
-    _, covs = delta_hat(Q)
-    return tuple(-4 * sum(col) for col in zip(*covs))
-
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_every_corank2_constant_term_selects_the_jacobian(n):
@@ -240,10 +261,10 @@ def test_every_corank2_constant_term_selects_the_jacobian(n):
         if Q.corank != 2:
             continue
         for s in (F(0), F(1, 2), F(-1, 3)):
-            rep = measure_constant_term(Q, s, _coweight_direction(Q), tol=1e-9)
+            rep = measure_constant_term(Q, s)
             assert rep["selected"] == "with_jacobian", (Q, s, rep)
             assert rep["sign"] == 1
-            assert rep["relative_error"] < 1e-4
+            assert rep["relative_error"] == 0.0
             combos += 1
     assert combos == {2: 9, 3: 27}[n]
 
