@@ -4,7 +4,7 @@ finite-field brute-force oracles, the relative parabolic lattice with its
 cone functions and exponent identities, and the polynomial-exponential
 integrals they produce."""
 
-from .exact import Fp, GF, Matrix, Polynomial, QQ, charpoly, exterior_trace, \
+from .exact import Fp, GF, Matrix, Polynomial, QQ, exterior_trace, \
     is_separable, krylov_basis
 from .invariants import (BlockElement, ClassInvariants, SeparableClass, act,
                          alpha_invariant, assemble, build_rrss_class,

@@ -138,12 +138,6 @@ def _group_pairs(n, p):
             yield g, gi
 
 
-def group_elements(n, p):
-    "All invertible n x n matrices over F_p, each exactly once."
-    for g, _ in _group_pairs(n, p):
-        yield g
-
-
 def _is_prime(p):
     """Miller-Rabin with the first twelve prime bases: exact for every p
     below 3.3 * 10^24, a strong probable-prime test beyond."""

@@ -5,6 +5,12 @@ Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 invalid
 input.  Every JSON report embeds the invoking configuration (including the
 seed), and reports are rendered with sorted keys so identical
 configurations produce byte-identical output.
+
+`verify` only lists checks that live beside their math (`cones`,
+`parabolics` and `rrss` each define `verify_*` functions returning one
+record: `identity`, `cases`, `failures` and keys of their own) and sums
+their failures.  `--samples` and `--seed` drive the cone sweeps; the
+parabolic and rrss checks are exhaustive.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import census as census_mod
 from . import cones, parabolics, polyexp, rrss
@@ -182,98 +187,30 @@ def cmd_pexp(args):
 
 
 def _verify_cones(args):
-    reports = [cones.verify_basic_identity(args.n),
-               cones.verify_langlands(args.n, args.samples, args.seed),
-               cones.verify_gamma_recurrence(args.n, args.samples, args.seed),
-               cones.verify_sigma_decomposition(
-                   args.n, max(1, args.samples // 10), args.seed),
-               cones.verify_gamma_support(
-                   args.n, max(1, args.samples // 2), args.seed)]
-    return reports
+    return [cones.verify_basic_identity(args.n),
+            cones.verify_langlands(args.n, args.samples, args.seed),
+            cones.verify_gamma_recurrence(args.n, args.samples, args.seed),
+            cones.verify_sigma_decomposition(
+                args.n, max(1, args.samples // 10), args.seed),
+            cones.verify_gamma_support(
+                args.n, max(1, args.samples // 2), args.seed)]
 
 
 def _verify_parabolics(args):
-    n = args.n
-    checks = []
-    counts = {m: len(parabolics.enumerate_rel_std(m))
-              for m in range(1, n + 1)}
-    ok = counts.get(1, 3) == 3 and counts.get(2, 8) == 8
-    checks.append({"identity": "parabolics.lattice-count",
-                   "counts": counts, "failures": 0 if ok else 1})
-    fails = 0
-    cases = 0
-    for m in range(1, n + 1):
-        for Q in parabolics.enumerate_rel_std(m):
-            rho = parabolics.rho_Q_s(Q)
-            idx, k, l = Q.indices, Q.k, Q.num_blocks
-            for a in range(1, k):
-                cases += 1
-                if rho.pair(parabolics.varpi_minus(idx[a], m)) != \
-                        (Fraction(idx[a]), Fraction(idx[a])):
-                    fails += 1
-            for b in range(k, l):
-                cases += 1
-                want = Fraction(m - idx[b])
-                if rho.pair(parabolics.varpi_plus(idx[b] + 1, m)) != \
-                        (want, -want):
-                    fails += 1
-    checks.append({"identity": "parabolics.exponent-closed-forms",
-                   "cases": cases, "failures": fails})
-    fails = cases = 0
-    for m in range(1, n + 1):
-        for Q in parabolics.enumerate_rel_std(m):
-            for R in parabolics.parabolics_above(Q):
-                cases += 1
-                if not parabolics.restriction_check(Q, R):
-                    fails += 1
-    checks.append({"identity": "parabolics.restriction",
-                   "cases": cases, "failures": fails})
-    return checks
+    return [parabolics.verify_lattice_count(args.n),
+            parabolics.verify_exponent_closed_forms(args.n),
+            parabolics.verify_restriction(args.n)]
 
 
 def _verify_rrss(args):
-    eta = frozenset(int(x) for x in args.eta.split(",") if x) \
-        if args.eta else frozenset()
+    if args.I0 < 0:
+        raise ValueError("I0 must be nonnegative, got %d" % args.I0)
     I0 = list(range(1, args.I0 + 1))
-    checks = []
-    fails = cases = 0
-    for J in rrss.enumerate_eps_subsets(I0):
-        cases += 1
-        if rrss.mu(J, I0) != (-1) ** len(J):
-            fails += 1
-    checks.append({"identity": "rrss.mu-sign", "I0": I0,
-                   "cases": cases, "failures": fails})
-    fails = cases = 0
-    for m in range(0, 9):
-        cases += 1
-        total = sum((-1) ** i * rrss.ordered_partition_count(i, m)
-                    for i in range(m + 1))
-        if total != (-1) ** m:
-            fails += 1
-    checks.append({"identity": "rrss.flag-count-alternation",
-                   "cases": cases, "failures": fails})
-    fails = cases = 0
-    for J in rrss.enumerate_eps_subsets(I0):
-        for J1, J2 in rrss.disjoint_subset_pairs(J):
-            cases += 1
-            shell = rrss.lambda_bar_shell(J, J1, J2, eta)
-            killed = rrss.lambda_bar_vanishes(J, J1, J2, eta)
-            if shell.factor.is_zero() != killed:
-                fails += 1
-                continue
-            if not killed:
-                roots = shell.factor.denominator_roots()
-                if not roots <= {Fraction(-1), Fraction(1)}:
-                    fails += 1
-                poles = {h.s_restriction() for h in
-                         rrss.lambda_bar_pole_set(J, J1, J2)}
-                if not poles <= {Fraction(-1), Fraction(1)}:
-                    fails += 1
-    checks.append({"identity": "rrss.pole-discipline", "I0": I0,
-                   "eta": sorted(eta), "cases": cases, "failures": fails})
-    checks.append(rrss.verify_signed_sum_identity(
-        I0, H_samples=args.samples, seed=args.seed, eta_indices=eta))
-    return checks
+    eta = frozenset(int(x) for x in args.eta.split(",") if x)
+    return [rrss.verify_mu_sign(I0),
+            rrss.verify_flag_count_alternation(),
+            rrss.verify_pole_discipline(I0, eta),
+            rrss.verify_signed_sum_identity(I0, eta_indices=eta)]
 
 
 def cmd_verify(args):

@@ -306,12 +306,13 @@ def verify_sigma_decomposition(n, sample_count, seed):
     _check_samples(sample_count)
     rng = random.Random(seed)
     G = full_group(n)
-    cases = failures = 0
+    cases = failures = degenerate = 0
     for P1 in enumerate_rel_std(n):
         for P in parabolics_above(P1):
             for _ in range(sample_count):
                 H = _sample_in_a(P1, rng)
                 while not _generic_for(P1, H):
+                    degenerate += 1
                     H = _sample_in_a(P1, rng)
                 cases += 1
                 lhs = _tau(P1, P, H) * _tau_hat(P, G, H)
@@ -323,12 +324,13 @@ def verify_sigma_decomposition(n, sample_count, seed):
         for _ in range(sample_count):
             H = _sample_in_a(P, rng)
             while not _generic_for(P, H):
+                degenerate += 1
                 H = _sample_in_a(P, rng)
             cases += 1
             if _sigma(P, P, H) != expected:
                 failures += 1
     return {"identity": "cones.sigma-decomposition", "n": n, "seed": seed,
-            "cases": cases, "failures": failures}
+            "cases": cases, "failures": failures, "degenerate": degenerate}
 
 
 def verify_gamma_support(n, sample_count, seed):

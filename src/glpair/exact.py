@@ -265,11 +265,14 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = Matrix(self.field,
-                     [list(self.rows[i]) + list(Matrix.identity(self.field, n).rows[i])
-                      for i in range(n)])
-        rows, det, rank = aug._echelon()
-        if rank < n:
+        ident = Matrix.identity(self.field, n).rows
+        aug = Matrix(self.field, [list(r) + list(e)
+                                  for r, e in zip(self.rows, ident)])
+        # the augmented rows always reach rank n; the matrix is singular
+        # exactly when a pivot falls in the identity half, leaving a zero
+        # on the left diagonal
+        rows = aug._echelon()[0]
+        if any(rows[i][i] != self.field.one for i in range(n)):
             raise ZeroDivisionError("matrix is singular")
         return Matrix(self.field, [row[n:] for row in rows])
 
@@ -335,10 +338,6 @@ def exterior_trace(M, j):
     f = M.charpoly()
     c = f.coeff(n - j)
     return c if j % 2 == 0 else -c
-
-
-def charpoly(M):
-    return M.charpoly()
 
 
 def krylov_basis(B, w):
@@ -539,10 +538,6 @@ def parse_rational(s):
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,)) from None
-
-
-def matrix_to_lists(M):
-    return [[scalar_to_str(x) for x in row] for row in M.rows]
 
 
 def matrix_from_lists(field, lists):

@@ -427,3 +427,60 @@ def restriction_check(Q, R):
             if (R.n + 1) * sum(d[i] for i in blk) != len(blk) * total:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# identity checks over the lattices of ranks 1..n: each returns a record
+# with the identity's name, its cases and its failures
+
+
+def _ranks(n):
+    "Ranks 1..n of a check; refuses n < 1, where it would check nothing."
+    if n < 1:
+        raise ValueError("n must be positive")
+    return range(1, n + 1)
+
+
+def verify_lattice_count(n):
+    """The lattice sizes at ranks 1..n, against the independent flag counts
+    3 (rank 1) and 8 (rank 2); one verdict, so the record has no cases."""
+    counts = {m: len(enumerate_rel_std(m)) for m in _ranks(n)}
+    ok = counts.get(1, 3) == 3 and counts.get(2, 8) == 8
+    return {"identity": "parabolics.lattice-count", "counts": counts,
+            "failures": 0 if ok else 1}
+
+
+def verify_exponent_closed_forms(n):
+    """rho_{Q,s} pairs with each coweight of Q to a closed form: i_a (1 + s)
+    with varpi^-_{i_a} for a < k, and (m - i_b)(1 - s) with
+    varpi^+_{i_b + 1} for b >= k, for every Q at ranks m = 1..n."""
+    cases = failures = 0
+    for m in _ranks(n):
+        for Q in enumerate_rel_std(m):
+            rho = rho_Q_s(Q)
+            idx, k, l = Q.indices, Q.k, Q.num_blocks
+            for a in range(1, k):
+                cases += 1
+                if rho.pair(varpi_minus(idx[a], m)) != \
+                        (Fraction(idx[a]), Fraction(idx[a])):
+                    failures += 1
+            for b in range(k, l):
+                cases += 1
+                want = Fraction(m - idx[b])
+                if rho.pair(varpi_plus(idx[b] + 1, m)) != (want, -want):
+                    failures += 1
+    return {"identity": "parabolics.exponent-closed-forms",
+            "cases": cases, "failures": failures}
+
+
+def verify_restriction(n):
+    "`restriction_check` holds for every nested pair Q <= R at ranks 1..n."
+    cases = failures = 0
+    for m in _ranks(n):
+        for Q in enumerate_rel_std(m):
+            for R in parabolics_above(Q):
+                cases += 1
+                if not restriction_check(Q, R):
+                    failures += 1
+    return {"identity": "parabolics.restriction",
+            "cases": cases, "failures": failures}

@@ -44,7 +44,9 @@ CONFIGS = (
         "--X=1,-2,0,3,-1"]]
     + [["verify", "all", "--n", "2"],
        ["verify", "rrss", "--I0", "2"],
-       ["verify", "rrss", "--I0", "3", "--eta", "1"]])
+       ["verify", "rrss", "--I0", "3", "--eta", "1"],
+       ["verify", "rrss", "--I0", "0"],
+       ["verify", "rrss", "--I0", "4"]])
 
 
 def report_sha(argv, workdir):

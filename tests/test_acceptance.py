@@ -15,16 +15,14 @@ from glpair.cones import (verify_basic_identity, verify_gamma_recurrence,
 from glpair.exact import Matrix, Polynomial, QQ
 from glpair.invariants import build_rrss_class
 from glpair.parabolics import (det_center_weight, det_weight, dot,
-                               enumerate_rel_std, parabolics_above,
-                               restriction_check, rho_Q_s, s_sub, st_basis,
+                               enumerate_rel_std, rho_Q_s, s_sub, st_basis,
                                two_rho_ambient, two_rho_intersected,
-                               varpi_minus, varpi_plus)
+                               verify_exponent_closed_forms,
+                               verify_restriction)
 from glpair.polyexp import (exponential_integral, measure_constant_term,
                             p_quadrature)
-from glpair.rrss import (enumerate_eps_subsets, lambda_bar_pole_set,
-                         lambda_bar_shell, lambda_bar_vanishes, mu,
-                         ordered_partition_count, verify_signed_sum_identity,
-                         disjoint_subset_pairs)
+from glpair.rrss import (verify_flag_count_alternation, verify_mu_sign,
+                         verify_pole_discipline, verify_signed_sum_identity)
 
 
 def _report(number, name, ok, started, budget=None):
@@ -34,6 +32,11 @@ def _report(number, name, ok, started, budget=None):
     assert ok, "criterion %d failed: %s" % (number, name)
     if budget is not None:
         assert elapsed < budget, "criterion %d exceeded %ds" % (number, budget)
+
+
+def _all_counted(reports):
+    "Every check record ran at least one case and none failed."
+    return all(r["failures"] == 0 and r["cases"] > 0 for r in reports)
 
 
 def test_criterion_1_invariant_separation():
@@ -99,17 +102,8 @@ def test_criterion_3_cone_identity_suite():
 
 def test_criterion_4_exponent_lemmas_symbolic():
     t0 = time.time()
-    ok = True
-    for n in range(1, 6):
-        for Q in enumerate_rel_std(n):
-            rho = rho_Q_s(Q)
-            idx, k, l = Q.indices, Q.k, Q.num_blocks
-            for a in range(1, k):
-                ok &= rho.pair(varpi_minus(idx[a], n)) == \
-                    (F(idx[a]), F(idx[a]))
-            for b in range(k, l):
-                w = F(n - idx[b])
-                ok &= rho.pair(varpi_plus(idx[b] + 1, n)) == (w, -w)
+    ok = _all_counted([verify_exponent_closed_forms(5),
+                       verify_restriction(4)])
     for n in range(1, 5):
         for Q in enumerate_rel_std(n):
             rho = rho_Q_s(Q)
@@ -124,22 +118,16 @@ def test_criterion_4_exponent_lemmas_symbolic():
             mk = dot(bk, bk)
             ok &= -rho.pair(bk)[0] - c0 * mk == 0
             ok &= dot(det, bk) - rho.pair(bk)[1] - c1 * mk == 0
-            for R in parabolics_above(Q):
-                ok &= restriction_check(Q, R)
-    _report(4, "exponent closed forms n<=5 and transport identities n<=4",
+    _report(4, "exponent closed forms n<=5, restriction and transport"
+               " identities n<=4",
             ok, t0)
 
 
 def test_criterion_5_flag_count_identities():
     t0 = time.time()
-    ok = True
-    for size in range(0, 4):
-        I0 = list(range(1, size + 1))
-        for J in enumerate_eps_subsets(I0):
-            ok &= mu(J, I0) == (-1) ** len(J)
-    for m in range(0, 9):
-        ok &= sum((-1) ** i * ordered_partition_count(i, m)
-                  for i in range(m + 1)) == (-1) ** m
+    ok = _all_counted([verify_mu_sign(range(1, size + 1))
+                       for size in range(4)]
+                      + [verify_flag_count_alternation()])
     _report(5, "signed parabolic counts mu_J and flag-count alternation",
             ok, t0)
 
@@ -174,25 +162,13 @@ def test_criterion_6_exponential_integrals():
 
 def test_criterion_7_rational_function_discipline():
     t0 = time.time()
-    ok = True
     I0 = [1, 2, 3]
-    for J in enumerate_eps_subsets(I0):
-        for J1, J2 in disjoint_subset_pairs(J):
-            poles = lambda_bar_pole_set(J, J1, J2)
-            ok &= all(h.s_restriction() in (F(-1), F(1)) for h in poles)
-            for eta in (frozenset(), frozenset({1}), frozenset(I0)):
-                shell = lambda_bar_shell(J, J1, J2, eta)
-                ok &= shell.factor.is_zero() == \
-                    lambda_bar_vanishes(J, J1, J2, eta)
-                if not shell.factor.is_zero():
-                    ok &= shell.factor.denominator_roots() <= \
-                        {F(-1), F(1)}
-    for size in range(0, 4):
-        sub_i0 = list(range(1, size + 1))
-        rep = verify_signed_sum_identity(sub_i0, H_samples=100, seed=21)
-        ok &= rep["failures"] == 0 and rep["cases"] == 100
+    ok = _all_counted([verify_pole_discipline(I0, eta)
+                       for eta in ((), {1}, I0)]
+                      + [verify_signed_sum_identity(range(1, size + 1))
+                         for size in range(4)])
     _report(7, "pole discipline in {-1,1}, character-model vanishing,"
-               " signed-sum identity at 100 samples per size", ok, t0)
+               " signed-sum identity on every sign class, #I0 <= 3", ok, t0)
 
 
 def _independent_flag_count(n):

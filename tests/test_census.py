@@ -6,18 +6,22 @@ import pytest
 
 from glpair.census import (class_orbit_count, conjugate,
                            expected_stabilizer_orders, fingerprint,
-                           generators, good_prime, group_elements,
-                           group_order, is_rss, orbit_of, stabilizer_order,
-                           verify_separation, _mat_inv)
+                           generators, good_prime, group_order, is_rss,
+                           orbit_of, stabilizer_order, verify_separation,
+                           _group_pairs, _mat_inv)
 from glpair.exact import GF, Matrix, Polynomial, QQ
 from glpair.invariants import build_rrss_class, invariants, \
     is_regular_semisimple
 
 
 def test_group_enumeration():
-    assert sorted(group_elements(1, 3)) == [((1,),), ((2,),)]
-    assert len(list(group_elements(2, 3))) == 48 == group_order(2, 3)
-    assert len(list(group_elements(2, 5))) == 480 == group_order(2, 5)
+    "Each invertible matrix once, paired with its inverse."
+    assert sorted(_group_pairs(1, 3)) == [(((1,),), ((1,),)),
+                                          (((2,),), ((2,),))]
+    for p in (3, 5):
+        inverse = dict(_group_pairs(2, p))
+        assert len(inverse) == group_order(2, p)
+        assert all(inverse[gi] == g for g, gi in inverse.items())
 
 
 def test_generators_generate():

@@ -162,6 +162,16 @@ def test_verify_cones_rejects_an_empty_sample_in_one_line(samples):
     assert "sample" in err
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["parabolics", "--n", "0"], "n must be positive"),
+    (["rrss", "--I0", "-1"], "I0"),
+    (["rrss", "--I0", "2", "--eta", "5"], "eta")])
+def test_verify_rejects_inputs_that_check_nothing_in_one_line(argv, word):
+    """`--n 0` checked zero cases and exited 0; `--I0 -1` ran with an empty
+    I0 and `--eta 5` beside `--I0 2` was ignored."""
+    assert word in _one_line_error("verify", *argv)
+
+
 def test_verify_cones_fails_on_a_gamma_value_out_of_range(monkeypatch,
                                                           capsys):
     "A gamma_prime value of 2 was reported but exited 0."
@@ -218,10 +228,20 @@ def test_verify_all_and_determinism(capsys):
 
 
 def test_verify_all_n3(capsys):
+    "One record shape: an identity, integer failures, at least one case."
     code, out, _ = run(capsys, "verify", "all", "--n", "3", "--I0", "2",
                        "--samples", "25", "--seed", "7")
     assert code == 0
-    assert json.loads(out)["total_failures"] == 0
+    data = json.loads(out)
+    assert data["total_failures"] == 0
+    assert len(data["checks"]) == 12
+    for rep in data["checks"]:
+        assert isinstance(rep["identity"], str)
+        assert isinstance(rep["failures"], int)
+        if rep["identity"] != "parabolics.lattice-count":
+            assert rep["cases"] >= 1, rep["identity"]
+    signed = [r for r in data["checks"] if r["identity"] == "rrss.signed-sum"]
+    assert signed[0]["cases"] == 4 and "seed" not in signed[0]
 
 
 def test_classify_polynomial_alpha_component(tmp_path, capsys):

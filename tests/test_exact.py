@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from glpair.exact import (GF, Matrix, Polynomial, QQ, exterior_trace,
                           is_separable, krylov_basis, matrix_from_lists,
-                          matrix_to_lists, parse_rational, scalar_to_str)
+                          parse_rational, scalar_to_str)
 
 
 def test_charpoly_examples():
@@ -112,6 +112,21 @@ def test_gaussian_elimination_det_and_inverse():
         assert M.apply(M.solve(b)) == b
 
 
+def test_inverse_refuses_a_singular_matrix():
+    "It returned [[0, 1], [1, -1]]: the augmented rows always reach rank n."
+    for rows in ([[1, 1], [1, 1]], [[0]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        with pytest.raises(ZeroDivisionError):
+            Matrix(QQ, rows).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Matrix(GF(3), [[1, 2], [2, 1]]).inverse()
+
+
+def test_solve_refuses_a_singular_matrix():
+    "It returned (2, -1), which does not solve the system."
+    with pytest.raises(ZeroDivisionError):
+        Matrix(QQ, [[1, 1], [1, 1]]).solve([1, 2])
+
+
 def test_sum_and_difference_reject_mismatched_shapes():
     "A 2x2 plus a 3x3 returned a 2x2: zip truncated the rows."
     A = Matrix(QQ, [[1, 2], [3, 4]])
@@ -139,4 +154,6 @@ def test_serialization_round_trip():
     assert scalar_to_str(F(5)) == "5"
     assert parse_rational("3/4") == F(3, 4)
     M = Matrix(QQ, [[F(1, 2), 3], [0, F(-7, 5)]])
-    assert matrix_from_lists(QQ, matrix_to_lists(M)) == M
+    lists = [["1/2", "3"], ["0", "-7/5"]]
+    assert matrix_from_lists(QQ, lists) == M
+    assert [[scalar_to_str(x) for x in row] for row in M.rows] == lists

@@ -2,16 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from glpair.exact import Polynomial, QQ
+from glpair import rrss
+from glpair.exact import Matrix, Polynomial, QQ
+from glpair.invariants import alpha_invariant
 from glpair.rrss import (EtaleAlgebra, Hyperplane, abs_set, add_functionals,
                          enumerate_eps_subsets, indicator_1, iota,
                          is_eps_subset, lambda_bar_pole_set, lambda_bar_shell,
                          lambda_bar_vanishes, mu, mu_by_corank,
                          ordered_partition_count, rho_of_eps,
-                         s_det_functional, sharp, trace_pairing_matrix,
-                         upeta_factor, verify_signed_sum_identity,
+                         s_det_functional, sharp, upeta_factor,
+                         verify_signed_sum_identity,
                          zeta_pole_set, disjoint_subset_pairs)
 
 
@@ -101,11 +102,19 @@ def test_idempotents_and_components():
 
 
 def test_trace_form_nondegenerate():
-    for facs in ([Polynomial(QQ, [-1, 1]), Polynomial(QQ, [-2, 1])],
-                 [Polynomial(QQ, [1, 0, 1])],
-                 [Polynomial(QQ, [-2, 0, 1]), Polynomial(QQ, [-3, 1])]):
-        A = EtaleAlgebra(QQ, facs)
-        assert trace_pairing_matrix(A).det() != 0
+    """alpha_invariant solves the Hankel system of the trace form, which
+    raises on a degenerate form; the solution has trace(alpha) = v . u."""
+    for B, facs in (
+            ([[1, 0], [0, 2]],
+             [Polynomial(QQ, [-1, 1]), Polynomial(QQ, [-2, 1])]),
+            ([[0, -1], [1, 0]], [Polynomial(QQ, [1, 0, 1])]),
+            ([[0, 2, 0], [1, 0, 0], [0, 0, 3]],
+             [Polynomial(QQ, [-2, 0, 1]), Polynomial(QQ, [-3, 1])])):
+        n = len(B)
+        u = tuple(F(i + 1) for i in range(n))
+        v = tuple(F(2 - i) for i in range(n))
+        alpha = alpha_invariant(Matrix(QQ, B), facs, u, v)
+        assert alpha.trace() == sum(x * y for x, y in zip(u, v))
 
 
 def test_etale_validation():
@@ -224,15 +233,20 @@ def test_lambda_bar_shell_structure():
             assert shell.holomorphic_symbol.startswith("Ups[")
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_signed_sum_identity_small(seed):
-    for I0 in ([], [1], [1, 2]):
-        rep = verify_signed_sum_identity(I0, H_samples=5, seed=seed)
-        assert rep["failures"] == 0
+def test_signed_sum_identity_small():
+    "One case per sign class of H: 2^#I0 of them, all passing."
+    for size in range(5):
+        rep = verify_signed_sum_identity(range(1, size + 1))
+        assert (rep["cases"], rep["failures"]) == (2 ** size, 0)
+        assert "seed" not in rep
 
 
-def test_signed_sum_identity_three_indices():
-    rep = verify_signed_sum_identity([1, 2, 3], H_samples=30, seed=12)
-    assert rep["failures"] == 0
-    assert rep["cases"] == 30
+def test_signed_sum_identity_three_indices(monkeypatch):
+    "A wrong lattice resummation rule fails on some sign class."
+    assert verify_signed_sum_identity([1, 2, 3])["failures"] == 0
+    wrong = dict(rrss._FLIP_RULES)
+    wrong[("-", "+")] = ((1, rrss.E0), (1, rrss.OV), (1, rrss.AV))
+    monkeypatch.setattr(rrss, "_FLIP_RULES", wrong)
+    for size in (1, 3):
+        rep = verify_signed_sum_identity(range(1, size + 1))
+        assert rep["cases"] == 2 ** size and rep["failures"] > 0
